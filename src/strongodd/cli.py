@@ -19,17 +19,16 @@ from dataclasses import dataclass, field
 from . import constructive, planemaps, randgen, solver
 from .gallery import check_structural_constraints, gallery as gallery_entry, gallery_names
 from .colorings import (
-    Coloring,
-    coloring_from_json_dict,
     coloring_to_json_dict,
     is_odd,
     is_proper,
     is_square_coloring,
     is_strong_odd,
+    load_coloring,
 )
 from .graphs import (
-    Graph,
-    from_json_dict,
+    join,
+    load_json,
     make_complete,
     make_complete_bipartite,
     make_complete_multipartite,
@@ -39,19 +38,6 @@ from .graphs import (
     product,
     to_json_dict,
 )
-
-
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _load_graph(path) -> Graph:
-    return from_json_dict(_read_json(path))
-
-
-def _load_coloring(path) -> Coloring:
-    return coloring_from_json_dict(_read_json(path))
 
 
 def _emit(obj, fmt):
@@ -122,8 +108,8 @@ _PREDICATES = {
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    phi = _load_coloring(args.coloring)
+    g = load_json(args.graph)
+    phi = load_coloring(args.coloring)
     report = {}
     for name, pred in _PREDICATES.items():
         violations = pred(g, phi)
@@ -148,7 +134,7 @@ _SOLVERS = {
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_json(args.graph)
     budget = solver.Budget(max_nodes=args.max_nodes, max_time=args.max_time)
     if args.k is not None:
         if args.param != "so":
@@ -189,12 +175,12 @@ def cmd_color(args) -> int:
     if args.method == "product" and not (args.left and args.right):
         raise SystemExit("--method product requires --left and --right")
     if args.method == "tree":
-        g = _load_graph(args.graph)
+        g = load_json(args.graph)
         phi = constructive.color_tree(g, log)
     elif args.method == "cycle":
         phi = constructive.color_cycle(args.n, log)
     elif args.method == "unicyclic":
-        g = _load_graph(args.graph)
+        g = load_json(args.graph)
         phi = constructive.color_unicyclic(g, log)
     elif args.method == "c5box":
         phi = constructive.c5_box_c5_table()
@@ -203,13 +189,11 @@ def cmd_color(args) -> int:
         phi = constructive.color_direct_complete(args.p, args.q)
         log.note(f"direct product of complete graphs on {args.p} and {args.q}")
     elif args.method == "product":
-        left = _load_graph(args.left)
-        right = _load_graph(args.right)
+        left = load_json(args.left)
+        right = load_json(args.right)
         budget = solver.Budget(max_time=args.max_time)
         phi_l = solver.chi_so_exact(left, budget).witness
         if args.kind == "lexicographic":
-            from .graphs import join
-
             apex = solver.chi_so_exact(
                 join(make_complete(1), right), budget
             ).witness
@@ -239,8 +223,8 @@ def cmd_color(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_product(args) -> int:
-    g = _load_graph(args.left)
-    h = _load_graph(args.right)
+    g = load_json(args.left)
+    h = load_json(args.right)
     _emit(to_json_dict(product(g, h, args.kind)), args.format)
     return 0
 
@@ -261,7 +245,7 @@ def cmd_plane(args) -> int:
     elif args.action == "annihilate":
         out = planemaps.map_to_json_dict(planemaps.annihilate(m, args.vertex))
     elif args.action == "claim1":
-        phi = _load_coloring(args.coloring)
+        phi = load_coloring(args.coloring)
         pieces = planemaps.decompose_claim1(m, phi)
         out = [
             {"labels": list(p.labels), **planemaps.map_to_json_dict(p)}
@@ -270,7 +254,7 @@ def cmd_plane(args) -> int:
     elif args.action == "claim2":
         out = planemaps.map_to_json_dict(planemaps.augment_claim2(m))
     elif args.action == "pipeline":
-        phi = _load_coloring(args.coloring)
+        phi = load_coloring(args.coloring)
         budget = solver.Budget(max_time=args.max_time)
         res = planemaps.strong_odd_via_planar_detailed(m, phi, budget)
         out = {

@@ -72,6 +72,31 @@ def is_odd_tree(t: Graph) -> bool:
     return all(t.degree(v) % 2 == 1 for v in range(t.n))
 
 
+def _color_below_root_children(
+    t: Graph, plan: RootedTreePlan, colors, palette: Sequence[int], log: ProvenanceLog
+) -> None:
+    """Fill in colors below the root's children, breadth-first: an even
+    set of children copies the parent's color, an odd set sends one child
+    to the palette color missing from vertex and parent."""
+    palette = set(palette)
+    for v in plan.bfs_order:
+        if v == plan.root:
+            continue
+        children = [u for u in sorted(t.adj[v]) if plan.parent[u] == v]
+        log.tick()
+        if not children:
+            continue
+        pc = colors[plan.parent[v]]
+        if len(children) % 2 == 0:
+            for u in children:
+                colors[u] = pc
+        else:
+            colors[children[0]] = (palette - {colors[v], pc}).pop()
+            for u in children[1:]:
+                colors[u] = pc
+        log.tick(len(children))
+
+
 def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     """Strong odd coloring of a tree with 2 colors if it is odd, else 3.
 
@@ -82,7 +107,6 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     parent.
     """
     log = log if log is not None else ProvenanceLog()
-    _require_tree(t)
     plan = plan_rooted_tree(t)
     colors = [-1] * t.n
     colors[plan.root] = 0
@@ -99,23 +123,7 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
             colors[u] = 1
         log.tick(len(root_nbrs))
         log.note(f"root {plan.root}: even degree, one neighbor recolored")
-    for v in plan.bfs_order:
-        if v == plan.root:
-            continue
-        children = [u for u in sorted(t.adj[v]) if plan.parent[u] == v]
-        log.tick()
-        if not children:
-            continue
-        pc = colors[plan.parent[v]]
-        if len(children) % 2 == 0:
-            for u in children:
-                colors[u] = pc
-        else:
-            third = ({0, 1, 2} - {colors[v], pc}).pop()
-            colors[children[0]] = third
-            for u in children[1:]:
-                colors[u] = pc
-        log.tick(len(children))
+    _color_below_root_children(t, plan, colors, (0, 1, 2), log)
     return Coloring(tuple(colors))
 
 
@@ -156,23 +164,7 @@ def color_tree_constrained(
         else:
             for u in root_children:
                 colors[u] = others[0]
-    for v in plan.bfs_order:
-        if v == root:
-            continue
-        children = [u for u in sorted(t.adj[v]) if plan.parent[u] == v]
-        log.tick()
-        if not children:
-            continue
-        pc = colors[plan.parent[v]]
-        if len(children) % 2 == 0:
-            for u in children:
-                colors[u] = pc
-        else:
-            third = (set(palette) - {colors[v], pc}).pop()
-            colors[children[0]] = third
-            for u in children[1:]:
-                colors[u] = pc
-        log.tick(len(children))
+    _color_below_root_children(t, plan, colors, palette, log)
     return colors
 
 

@@ -78,6 +78,8 @@ class PlaneMultigraph:
                 if d in seen:
                     raise MapError(f"dart {d} listed twice")
                 seen.add(d)
+                if not 0 <= d < 2 * self.m:
+                    raise MapError(f"dart {d} out of range")
                 if self.vertex_of(d) != v:
                     raise MapError(f"dart {d} does not leave vertex {v}")
         if seen != set(range(2 * self.m)):
@@ -133,11 +135,7 @@ class PlaneMultigraph:
         if self.regions is not None:
             return self.regions
         faces = trace_faces(self, validate=False).faces
-        comps = self.underlying.components()
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
+        comp_of = _component_index(self)
         isolated = frozenset(v for v in range(self.n) if not self.rotation[v])
         first_orbit = {}
         for fi, cyc in enumerate(faces):
@@ -208,26 +206,33 @@ def trace_faces(m: PlaneMultigraph, validate: bool = True) -> FaceData:
         for v in verts:
             inc[v].add(fi)
     if validate:
-        comps = m.underlying.components()
-        face_comp = {}
-        for fi, cyc in enumerate(faces):
-            face_comp[fi] = m.vertex_of(cyc[0])
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        for ci, comp in enumerate(comps):
-            verts = set(comp)
-            if len(verts) == 1 and not m.rotation[comp[0]]:
-                continue
-            mc = sum(1 for u, v in m.edges if u in verts)
-            fc = sum(1 for fi in face_comp if comp_of[face_comp[fi]] == ci)
-            if len(verts) - mc + fc != 2:
+        comp_of = _component_index(m)
+        ncomp = max(comp_of, default=-1) + 1
+        nc, mc, fc = [0] * ncomp, [0] * ncomp, [0] * ncomp
+        for v in range(m.n):
+            nc[comp_of[v]] += 1
+        for u, _ in m.edges:
+            mc[comp_of[u]] += 1
+        for cyc in faces:
+            fc[comp_of[m.vertex_of(cyc[0])]] += 1
+        for ci in range(ncomp):
+            # an isolated vertex has no orbit and is exempt
+            if mc[ci] and nc[ci] - mc[ci] + fc[ci] != 2:
                 raise MapError(
                     f"component {ci}: Euler identity fails "
-                    f"({len(verts)} - {mc} + {fc} != 2); not a plane embedding"
+                    f"({nc[ci]} - {mc[ci]} + {fc[ci]} != 2); not a plane embedding"
                 )
     return FaceData(faces, boundary, tuple(frozenset(s) for s in inc))
+
+
+def _component_index(m: PlaneMultigraph) -> list[int]:
+    """Index of each vertex's connected component, in the order of
+    m.underlying.components()."""
+    comp_of = [0] * m.n
+    for ci, comp in enumerate(m.underlying.components()):
+        for v in comp:
+            comp_of[v] = ci
+    return comp_of
 
 
 def boundary_walk_vertices(m: PlaneMultigraph, cyc: Sequence[int]) -> list[int]:
@@ -299,8 +304,11 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         raise MapError(f"malformed map JSON: {exc}") from exc
     edges = [None] * len(raw_edges)
     for item in raw_edges:
-        e = item["id"]
-        u, v = item["ends"]
+        try:
+            e = item["id"]
+            u, v = item["ends"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MapError(f"malformed edge entry {item!r}") from exc
         if not (0 <= e < len(raw_edges)) or edges[e] is not None:
             raise MapError(f"bad edge id {e}")
         edges[e] = (u, v)
@@ -331,7 +339,8 @@ def load_map(path) -> PlaneMultigraph:
 class _MapBuilder:
     """Mutable rotation system with geometric-region bookkeeping.
 
-    Vertices keep their snapshot-time ids; darts are opaque integers.
+    Vertices keep their snapshot-time ids.  Darts keep the map's
+    convention: new ones are allocated in pairs, so d's twin is d ^ 1.
     Regions track which orbits (and isolated vertices) bound the same
     geometric face, which is what survives edge deletions that
     disconnect the graph.
@@ -341,11 +350,8 @@ class _MapBuilder:
         self.source = m
         self.alive = set(range(m.n))
         self.rot = {v: list(m.rotation[v]) for v in range(m.n)}
-        self.twin = {}
-        self.vert = {}
+        self.vert = {}  # live dart -> the vertex it leaves
         for e, (u, v) in enumerate(m.edges):
-            self.twin[2 * e] = 2 * e + 1
-            self.twin[2 * e + 1] = 2 * e
             self.vert[2 * e] = u
             self.vert[2 * e + 1] = v
         self.next_dart_id = 2 * m.m
@@ -360,8 +366,8 @@ class _MapBuilder:
     # -- basic accessors ----------------------------------------------------
 
     def succ(self, d: int) -> int:
-        rot = self.rot[self.vert[self.twin[d]]]
-        return rot[(rot.index(self.twin[d]) + 1) % len(rot)]
+        rot = self.rot[self.vert[d ^ 1]]
+        return rot[(rot.index(d ^ 1) + 1) % len(rot)]
 
     def orbit(self, d0: int) -> list[int]:
         cyc = [d0]
@@ -375,7 +381,7 @@ class _MapBuilder:
         return len(self.rot[v])
 
     def neighbors_in_order(self, v: int) -> list[int]:
-        return [self.vert[self.twin[d]] for d in self.rot[v]]
+        return [self.vert[d ^ 1] for d in self.rot[v]]
 
     def components(self) -> list[set[int]]:
         seen = set()
@@ -389,7 +395,7 @@ class _MapBuilder:
             while queue:
                 x = queue.popleft()
                 for d in self.rot[x]:
-                    y = self.vert[self.twin[d]]
+                    y = self.vert[d ^ 1]
                     if y not in seen:
                         seen.add(y)
                         comp.add(y)
@@ -401,8 +407,6 @@ class _MapBuilder:
         a = self.next_dart_id
         b = a + 1
         self.next_dart_id += 2
-        self.twin[a] = b
-        self.twin[b] = a
         self.vert[a] = u
         self.vert[b] = w
         return a, b
@@ -418,7 +422,7 @@ class _MapBuilder:
     # -- mutations -----------------------------------------------------------
 
     def delete_edge_by_dart(self, d: int) -> None:
-        t = self.twin[d]
+        t = d ^ 1
         r1 = self.region_of[d]
         r2 = self.region_of[t]
         if r1 != r2:
@@ -429,7 +433,7 @@ class _MapBuilder:
             if not self.rot[v]:
                 self.region_iso[r1].add(v)
             del self.region_of[x]
-        del self.twin[d], self.twin[t], self.vert[d], self.vert[t]
+        del self.vert[d], self.vert[t]
 
     def delete_small_vertex(self, v: int) -> None:
         """Remove a vertex of degree at most one together with its edge."""
@@ -453,7 +457,7 @@ class _MapBuilder:
         deg = len(rv)
         if deg < 2:
             raise MapError(f"annihilation needs degree >= 2 at vertex {v}")
-        nbrs = [self.vert[self.twin[d]] for d in rv]
+        nbrs = [self.vert[d ^ 1] for d in rv]
         if len(set(nbrs)) != deg:
             raise MapError(
                 f"vertex {v} is incident with a parallel pair; annihilation "
@@ -467,7 +471,7 @@ class _MapBuilder:
         for i in range(deg):
             a[i], b[i] = self._new_darts(nbrs[i], nbrs[(i + 1) % deg])
         for j in range(deg):
-            t_j = self.twin[rv[j]]
+            t_j = rv[j] ^ 1
             rot = self.rot[nbrs[j]]
             pos = rot.index(t_j)
             rot[pos:pos + 1] = [a[j], b[(j - 1) % deg]]
@@ -475,9 +479,7 @@ class _MapBuilder:
             self.region_of[b[(j - 1) % deg]] = new_region
             del self.region_of[t_j]
             del self.region_of[rv[j]]
-            del self.twin[rv[j]], self.twin[t_j]
             del self.vert[rv[j]], self.vert[t_j]
-        # t_j's twin entries referenced rv[j]; both directions removed above
         del self.rot[v]
         self.alive.discard(v)
 
@@ -526,11 +528,11 @@ class _MapBuilder:
         if self.succ(x) != y:
             raise MapError("darts do not form a corner")
         u = self.vert[x]
-        w = self.vert[self.twin[y]]
+        w = self.vert[y ^ 1]
         rid = self.region_of[x]
         n1, n2 = self._new_darts(u, w)
         self._insert_before(u, x, n1)
-        self._insert_after(w, self.twin[y], n2)
+        self._insert_after(w, y ^ 1, n2)
         new_region = self.next_region
         self.next_region += 1
         self.region_iso[new_region] = set()
@@ -540,7 +542,7 @@ class _MapBuilder:
 
     def expand_edge_to_digon(self, d: int) -> None:
         """Add an edge parallel to d's edge bounding a digon with it."""
-        t = self.twin[d]
+        t = d ^ 1
         u, w = self.vert[d], self.vert[t]
         d2, t2 = self._new_darts(u, w)
         self._insert_before(u, d, d2)
@@ -577,7 +579,7 @@ class _MapBuilder:
                 while idx < len(rot):
                     d = rot[idx]
                     idx += 1
-                    u = self.vert[self.twin[d]]
+                    u = self.vert[d ^ 1]
                     if d == in_dart:
                         continue
                     if u not in disc:
@@ -585,7 +587,7 @@ class _MapBuilder:
                         disc[u] = low[u] = counter[0]
                         counter[0] += 1
                         todo.append((v, in_dart, idx))
-                        todo.append((u, self.twin[d], 0))
+                        todo.append((u, d ^ 1, 0))
                         advanced = True
                         break
                     if disc[u] < disc[v]:
@@ -621,11 +623,11 @@ class _MapBuilder:
     def snapshot(self) -> PlaneMultigraph:
         verts = sorted(self.alive)
         vmap = {v: i for i, v in enumerate(verts)}
-        edge_min_darts = sorted(d for d in self.twin if d < self.twin[d])
+        edge_min_darts = sorted(d for d in self.vert if d % 2 == 0)
         dmap = {}
         edges = []
         for e, d in enumerate(edge_min_darts):
-            t = self.twin[d]
+            t = d ^ 1
             edges.append((vmap[self.vert[d]], vmap[self.vert[t]]))
             dmap[d] = 2 * e
             dmap[t] = 2 * e + 1
@@ -874,7 +876,7 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
         before_sets = region_face_sets()
         corner = None
         seen = set()
-        for d0 in sorted(b.twin):
+        for d0 in sorted(b.vert):
             if d0 in seen:
                 continue
             cyc = b.orbit(d0)
@@ -886,7 +888,7 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
                     continue
                 x = cyc[j - 1]
                 u = b.vert[x]
-                w = b.vert[b.twin[y]]
+                w = b.vert[y ^ 1]
                 if u in block and u != v and w not in block:
                     corner = (x, y)
                     break

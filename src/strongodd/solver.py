@@ -30,7 +30,6 @@ from .graphs import Graph, square
 
 ALL_ODD = "all_odd"
 EXISTS_ODD = "exists_odd"
-PROPER_ONLY = "proper_only"
 
 YES = "yes"
 NO = "no"
@@ -156,7 +155,7 @@ class _ParitySearch:
         for sid in dirty:
             if self.s_uncolored[sid] == 0 and not self._scope_ok_final(sid):
                 return True
-        if self.mode != ALL_ODD:
+        if self.mode != ALL_ODD or not self.scopes:
             return False
         # rule (c): a pending even color must keep a possible fixer.  The
         # assignment can consume fixers in any scope touching v or its
@@ -249,58 +248,42 @@ def greedy_clique_lower_bound(g: Graph) -> int:
     return best
 
 
-def _exact_ascending(g: Graph, decide, lo: int) -> SolveResult:
-    """Ascending-k search; first feasible k with all smaller k refuted."""
+def _solve(n, adj, scopes, mode, lo, budget) -> SolveResult:
+    """Ascending-k search; first feasible k with all smaller k refuted
+    (a rainbow coloring caps k at n)."""
+    budget = budget or Budget()
+    if n == 0:
+        return SolveResult(0, Coloring(()), True, 0, 0.0, 0, 0)
     start = time.monotonic()
     nodes = 0
-    hi = g.n if g.n else 0
-    if g.n == 0:
-        return SolveResult(0, Coloring(()), True, 0, 0.0, 0, 0)
     k = max(1, lo)
     while True:
-        res = decide(k, nodes, time.monotonic() - start)
+        search = _ParitySearch(n, adj, scopes, mode, k)
+        res = search.run(budget, nodes, time.monotonic() - start)
         nodes += res.nodes_explored
         elapsed = time.monotonic() - start
         if res.status == YES:
             return SolveResult(k, res.witness, True, nodes, elapsed, k, k)
         if res.status == UNKNOWN:
-            return SolveResult(None, None, False, nodes, elapsed, k, hi)
+            return SolveResult(None, None, False, nodes, elapsed, k, n)
         k += 1
-        if k > hi:
+        if k > n:
             raise AssertionError("search exceeded the trivial upper bound")
 
 
 def chi_so_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
-    """Exact strong odd chromatic number (a rainbow coloring caps it at n)."""
-    budget = budget or Budget()
-    scopes = _strong_odd_scopes(g)
-
-    def decide(k, nodes_used, time_used):
-        search = _ParitySearch(g.n, g.adj, scopes, ALL_ODD, k)
-        return search.run(budget, nodes_used, time_used)
-
-    return _exact_ascending(g, decide, greedy_clique_lower_bound(g))
+    """Exact strong odd chromatic number."""
+    return _solve(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD,
+                  greedy_clique_lower_bound(g), budget)
 
 
 def chi_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
-    budget = budget or Budget()
-
-    def decide(k, nodes_used, time_used):
-        search = _ParitySearch(g.n, g.adj, [], PROPER_ONLY, k)
-        return search.run(budget, nodes_used, time_used)
-
-    return _exact_ascending(g, decide, greedy_clique_lower_bound(g))
+    return _solve(g.n, g.adj, [], ALL_ODD, greedy_clique_lower_bound(g), budget)
 
 
 def chi_odd_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
-    budget = budget or Budget()
     scopes = [tuple(sorted(g.adj[v])) for v in range(g.n) if g.adj[v]]
-
-    def decide(k, nodes_used, time_used):
-        search = _ParitySearch(g.n, g.adj, scopes, EXISTS_ODD, k)
-        return search.run(budget, nodes_used, time_used)
-
-    return _exact_ascending(g, decide, greedy_clique_lower_bound(g))
+    return _solve(g.n, g.adj, scopes, EXISTS_ODD, greedy_clique_lower_bound(g), budget)
 
 
 def chi_square_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
@@ -315,17 +298,7 @@ def solve_parity_system(
     lo: int = 1,
 ) -> SolveResult:
     """Exact minimum over the generic engine (used for facially odd search)."""
-    budget = budget or Budget()
-    g_adj = [frozenset(a) for a in adj]
-
-    def decide(k, nodes_used, time_used):
-        search = _ParitySearch(n, g_adj, scopes, ALL_ODD, k)
-        return search.run(budget, nodes_used, time_used)
-
-    dummy = Graph(n, frozenset(
-        (min(u, v), max(u, v)) for u, a in enumerate(adj) for v in a if u != v
-    ))
-    return _exact_ascending(dummy, decide, lo)
+    return _solve(n, [frozenset(a) for a in adj], scopes, ALL_ODD, lo, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from strongodd.cli import main
 from strongodd.colorings import coloring_to_json_dict
 from strongodd.constructive import color_cycle
 from strongodd.graphs import make_cycle, save_json, to_json_dict
-from strongodd.planemaps import embed_cycle, save_map
+from strongodd.planemaps import embed_cycle, map_to_json_dict, save_map
 
 
 def run(capsys, *argv):
@@ -95,6 +95,37 @@ def test_plane_commands(tmp_path, capsys):
                     "--coloring", str(cpath))
     assert code == 0
     assert len(json.loads(out)["colors"]) == 4
+
+
+def _edges_without_id(data):
+    data["edges"][0].pop("id")
+    return data
+
+
+def _dart_out_of_range(data):
+    data["rotation"]["0"] = [2 * len(data["edges"])]
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [_edges_without_id, _dart_out_of_range])
+def test_malformed_map_exits_2(tmp_path, capsys, corrupt):
+    mpath = tmp_path / "bad.json"
+    mpath.write_text(json.dumps(corrupt(map_to_json_dict(embed_cycle(4)))))
+    assert main(["plane", "trace", "--map", str(mpath)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_graph_and_coloring_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "c4.json"
+    save_json(make_cycle(4), gpath)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(gpath.read_text()[:-5])
+    assert main(["solve", "--graph", str(truncated)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    cpath = tmp_path / "col.json"
+    cpath.write_text(json.dumps({"colors": [0, 1, "2", 3]}))
+    assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_corpus_command(capsys):

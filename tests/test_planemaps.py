@@ -82,6 +82,25 @@ def test_invalid_rotation_fails_euler():
         trace_faces(from_neighbor_rotations(twisted))
 
 
+def _side_by_side(*rotations):
+    """Neighbor rotations of several maps placed next to each other."""
+    out, offset = [], 0
+    for rot in rotations:
+        out += [[w + offset for w in nbrs] for nbrs in rot]
+        offset += len(rot)
+    return out
+
+
+def test_euler_check_per_component():
+    triangle = [[2, 1], [0, 2], [1, 0]]
+    twisted = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    with pytest.raises(MapError, match="component 1"):
+        trace_faces(from_neighbor_rotations(_side_by_side(triangle, twisted)))
+    planar = from_neighbor_rotations(_side_by_side(triangle, [[]], WHEEL4))
+    fd = trace_faces(planar)
+    assert len(fd.faces) == 2 + 5 and planar.n == 3 + 1 + 5
+
+
 def test_map_json_round_trip():
     pm = from_neighbor_rotations(WHEEL5)
     data = map_to_json_dict(pm)
@@ -279,6 +298,11 @@ def test_chi_pfo_on_k4():
     k4 = random_triangulation(4, rng)
     res = chi_pfo_exact(k4)
     assert res.value == _brute_chi_pfo(k4) == 4
+
+
+def test_chi_pfo_node_count_pinned():
+    res = chi_pfo_exact(from_neighbor_rotations(OCTAHEDRON))
+    assert (res.value, res.nodes_explored) == (3, 6)
 
 
 def test_chi_pfo_requires_two_connected():

@@ -10,6 +10,7 @@ from strongodd.graphs import (
     make_cycle,
     make_path,
     make_star,
+    product,
     square,
 )
 from strongodd.solver import (
@@ -90,6 +91,24 @@ def test_determinism():
         assert a.value == b.value
         assert a.witness == b.witness
         assert a.nodes_explored == b.nodes_explored
+
+
+@pytest.mark.parametrize("name,nodes", [("G12a", 824), ("G12b", 884), ("G7", 66)])
+def test_gallery_node_counts_pinned(name, nodes):
+    res = chi_so_exact(gallery(name).graph)
+    assert res.optimal and res.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("solve,value,nodes", [
+    (chi_exact, 2, 20),
+    (chi_odd_exact, 4, 240),
+    (chi_so_exact, 5, 1637),
+    (chi_square_exact, 5, 26),
+])
+def test_grid_node_counts_pinned(solve, value, nodes):
+    # the search is deterministic, so node counts are exact regression pins
+    res = solve(product(make_path(4), make_path(5), "cartesian"))
+    assert (res.value, res.nodes_explored) == (value, nodes)
 
 
 def test_budget_exhaustion_reports_unknown():
