@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
     out = {
         "value": res.value,
         "optimal": res.optimal,
-        "witness": list(res.witness.colors) if res.witness else None,
+        "witness": list(res.witness.colors),
         "nodes": res.nodes_explored,
         "ms": round(res.elapsed * 1000, 3),
     }
@@ -166,6 +166,17 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # color
 # ---------------------------------------------------------------------------
+
+def _optimal_factor_coloring(name, g, budget):
+    """An optimal strong odd coloring of a product factor, or None after
+    an error line when the budget runs out first."""
+    res = solver.chi_so_exact(g, budget)
+    if res.optimal:
+        return res.witness
+    print(f"error: {name} factor: budget exhausted with chi_so in "
+          f"[{res.lo}, {res.hi}]", file=sys.stderr)
+    return None
+
 
 def cmd_color(args) -> int:
     log = constructive.ProvenanceLog()
@@ -192,14 +203,20 @@ def cmd_color(args) -> int:
         left = load_json(args.left)
         right = load_json(args.right)
         budget = solver.Budget(max_time=args.max_time)
-        phi_l = solver.chi_so_exact(left, budget).witness
+        phi_l = _optimal_factor_coloring("left", left, budget)
+        if phi_l is None:
+            return 1
         if args.kind == "lexicographic":
-            apex = solver.chi_so_exact(
-                join(make_complete(1), right), budget
-            ).witness
+            apex = _optimal_factor_coloring(
+                "right (with apex)", join(make_complete(1), right), budget
+            )
+            if apex is None:
+                return 1
             phi = constructive.compose_lexicographic(left, phi_l, right, apex)
         else:
-            phi_r = solver.chi_so_exact(right, budget).witness
+            phi_r = _optimal_factor_coloring("right", right, budget)
+            if phi_r is None:
+                return 1
             phi = constructive.compose_product_coloring(
                 left, phi_l, right, phi_r, args.kind
             )

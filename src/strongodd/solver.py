@@ -17,6 +17,38 @@ facially odd ones).  Pruning:
 
 Rule (c) only fires when no legal completion exists, so a completed
 search at some k is a proof that no k-coloring exists.
+
+Vertex sets and scope sets are Python ints used as bitsets (bit v is
+vertex v, bit s is scope s), and color sets are ints with bit c for
+color c.  The search state is:
+
+  blocked[c]   the vertices with a neighbor colored c;
+  used[s]      the colors present in scope s;
+  par[s]       the colors with an odd count in scope s;
+  used_in[c]   the scopes in which c is present;
+  odd_in[c]    the scopes in which c has an odd count;
+  uncolored    the vertices not yet colored.
+
+Parity is an XOR toggle.  Rule (a) is the bit test ``blocked[c] >> v``.
+The colors with a positive even count in scope s are ``used[s] &
+~par[s]``: rule (b) asks that mask to be empty (ALL_ODD) or ``par[s]``
+to be nonzero (EXISTS_ODD), and rule (c) asks, for each set bit c of
+it, that ``scope & uncolored & ~blocked[c]`` be nonempty.
+
+Coloring v with c changes a scope's counts and uncolored members only
+if v is in it, and its fixers only if it holds a neighbor of v, and
+then only the fixers of c.  Every scope passed rule (c) before the
+assignment, so it is enough to test every even color of v's own scopes
+and color c in the other scopes touching N(v) where c is even, the set
+``used_in[c] & ~odd_in[c] & others[v]``.  This prunes exactly the nodes
+that testing every color of every scope would, so node counts do not
+depend on it.  The per-vertex masks are built once per instance and
+reused for every k.
+
+The depth-first search keeps an explicit stack: per depth the next
+color to try, the largest color used so far, and the ``blocked[c]`` and
+``used_in[c]`` to restore on undo.  Input size is therefore not limited
+by the interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -44,10 +76,6 @@ class Budget:
     max_time: float = 60.0
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 @dataclass
 class DecisionResult:
     status: str  # yes / no / unknown
@@ -60,159 +88,183 @@ class DecisionResult:
 class SolveResult:
     """Outcome of an ascending-k exact solve.
 
-    value/witness are None when the budget ran out before any feasible k
-    was found; lo..hi is the surviving bracket either way.  optimal is
-    True only if the search at value-1 ran to completion with no
-    solution.
+    Every k below lo is refuted, by a completed search or by the clique
+    lower bound.  When the search at lo finds a coloring, value = lo =
+    hi, optimal is True and witness uses value colors.  When the budget
+    runs out at lo, witness is a greedy coloring of the conflict graph
+    (adjacency plus every scope as a clique): it is proper and rainbow
+    on every scope, so it satisfies the parameter with hi = witness.k
+    colors.  value is then None and optimal False, unless hi equals lo,
+    which makes the greedy coloring optimal.
     """
 
     value: Optional[int]
-    witness: Optional[Coloring]
+    witness: Coloring
     optimal: bool
     nodes_explored: int
     elapsed: float
     lo: int
-    hi: Optional[int]
+    hi: int
+
+
+def _bits(items) -> int:
+    """The bitset of a collection of small nonnegative ints."""
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
+
+
+def _or(masks) -> int:
+    """The union of a collection of bitsets."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 class _ParitySearch:
-    def __init__(self, n, adj, scopes, mode, k, order=None):
+    """The search for one instance (graph, scopes, mode); run() decides
+    one k.  The masks built here depend on the instance only."""
+
+    def __init__(self, n, adj, scopes, mode):
         self.n = n
-        self.k = k
         self.mode = mode
-        self.adj = [sorted(a) for a in adj]
-        self.scopes = [tuple(s) for s in scopes]
-        self.vscopes = [[] for _ in range(n)]
-        for sid, members in enumerate(self.scopes):
-            for v in members:
-                self.vscopes[v].append(sid)
-        if order is None:
-            order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-        self.order = order
-        # pcount[v][c]: colored neighbors of v with color c (properness)
-        self.pcount = [[0] * k for _ in range(n)]
-        # scount[s][c]: colored members of scope s with color c
-        self.scount = [[0] * k for _ in self.scopes]
-        self.s_uncolored = [len(s) for s in self.scopes]
-        self.s_evens = [0] * len(self.scopes)  # colors with positive even count
-        self.s_odds = [0] * len(self.scopes)
-        self.color = [-1] * n
-        self.nodes = 0
-        self.deadline = None
-        self.node_cap = None
-        self.start = 0.0
+        self.order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+        self.nbr = [_bits(a) for a in adj]
+        self.smask = [_bits(s) for s in scopes]
+        vscopes = [[] for _ in range(n)]
+        for sid, members in enumerate(scopes):
+            for v in set(members):
+                vscopes[v].append(sid)
+        self.vscopes = vscopes
+        self.vsmask = vsmask = [_bits(x) for x in vscopes]
+        # the scopes of v's neighbors that do not contain v
+        self.others = [_or(vsmask[u] for u in a) & ~vsmask[v] for v, a in enumerate(adj)]
 
-    def _scope_ok_final(self, sid):
-        if self.mode == ALL_ODD:
-            return self.s_evens[sid] == 0
-        return not self.scopes[sid] or self.s_odds[sid] > 0
-
-    def _has_fixer(self, sid, c):
-        pc = self.pcount
-        col = self.color
-        for w in self.scopes[sid]:
-            if col[w] < 0 and pc[w][c] == 0:
-                return True
-        return False
-
-    def _assign(self, v, c):
-        self.color[v] = c
-        for u in self.adj[v]:
-            self.pcount[u][c] += 1
-        dirty = []
-        for sid in self.vscopes[v]:
-            sc = self.scount[sid]
-            sc[c] += 1
-            if sc[c] % 2 == 0:
-                self.s_evens[sid] += 1
-                self.s_odds[sid] -= 1
+    def greedy(self) -> Coloring:
+        """First-fit coloring of the conflict graph, largest conflict
+        degree first: proper and rainbow on every scope, so it meets
+        every mode's parity condition."""
+        conflict = [
+            (self.nbr[v] | _or(self.smask[sid] for sid in sids)) & ~(1 << v)
+            for v, sids in enumerate(self.vscopes)
+        ]
+        classes = []
+        color = [0] * self.n
+        for v in sorted(range(self.n), key=lambda v: (-conflict[v].bit_count(), v)):
+            for c, members in enumerate(classes):
+                if not members & conflict[v]:
+                    classes[c] |= 1 << v
+                    break
             else:
-                if sc[c] > 1:
-                    self.s_evens[sid] -= 1
-                self.s_odds[sid] += 1
-            self.s_uncolored[sid] -= 1
-            dirty.append(sid)
-        return dirty
+                c = len(classes)
+                classes.append(1 << v)
+            color[v] = c
+        return Coloring(tuple(color))
 
-    def _undo(self, v, c):
-        self.color[v] = -1
-        for u in self.adj[v]:
-            self.pcount[u][c] -= 1
-        for sid in self.vscopes[v]:
-            sc = self.scount[sid]
-            if sc[c] % 2 == 0:
-                self.s_evens[sid] -= 1
-                self.s_odds[sid] += 1
+    def run(self, k, budget: Budget, nodes_used=0, time_used=0.0) -> DecisionResult:
+        start = time.monotonic()
+        node_cap = budget.max_nodes - nodes_used
+        deadline = start + max(0.0, budget.max_time - time_used)
+        n, order, nbr = self.n, self.order, self.nbr
+        smask, vscopes, vsmask, others = self.smask, self.vscopes, self.vsmask, self.others
+        all_odd = self.mode == ALL_ODD
+        check_c = all_odd and bool(smask)
+        blocked = [0] * k
+        used_in = [0] * k
+        odd_in = [0] * k
+        used = [0] * len(smask)
+        par = [0] * len(smask)
+        uncolored = (1 << n) - 1
+        color = [-1] * n
+        # per depth: the next color to try, the largest color on earlier
+        # vertices, and blocked[c] and used_in[c] before the assignment
+        nxt = [0] * (n + 1)
+        top = [-1] * (n + 1)
+        saved_blocked = [0] * n
+        saved_used = [0] * n
+        nodes = 0
+        pos = 0
+        while pos < n:
+            v = order[pos]
+            c = nxt[pos]
+            limit = min(top[pos] + 1, k - 1)
+            while c <= limit and blocked[c] >> v & 1:  # rule (a)
+                c += 1
+            if c <= limit:
+                nodes += 1
+                if nodes > node_cap or (
+                    nodes % 4096 == 0 and time.monotonic() > deadline
+                ):
+                    return DecisionResult(UNKNOWN, None, nodes, time.monotonic() - start)
+                cb = 1 << c
+                vs = vsmask[v]
+                color[v] = c
+                uncolored ^= 1 << v
+                saved_blocked[pos] = blocked[c]
+                blocked[c] |= nbr[v]
+                saved_used[pos] = used_in[c]
+                used_in[c] |= vs
+                odd_in[c] ^= vs
+                pruned = False
+                for sid in vscopes[v]:
+                    par[sid] ^= cb
+                    used[sid] |= cb
+                    if pruned:
+                        continue
+                    even = used[sid] & ~par[sid]
+                    free = smask[sid] & uncolored
+                    if not free:
+                        # rule (b)
+                        pruned = bool(even) if all_odd else not par[sid]
+                    elif check_c:
+                        # rule (c) for every even color of a scope of v
+                        while even:
+                            low = even & -even
+                            if not free & ~blocked[low.bit_length() - 1]:
+                                pruned = True
+                                break
+                            even ^= low
+                if check_c and not pruned:
+                    # rule (c) in the other scopes touching N(v): their
+                    # counts did not move and only c lost fixers, so only
+                    # the scopes where c is even are tested
+                    cand = used_in[c] & ~odd_in[c] & others[v]
+                    fixers = uncolored & ~blocked[c]
+                    while cand:
+                        low = cand & -cand
+                        if not smask[low.bit_length() - 1] & fixers:
+                            pruned = True
+                            break
+                        cand ^= low
+                if not pruned:
+                    pos += 1
+                    nxt[pos] = 0
+                    top[pos] = c if c > top[pos - 1] else top[pos - 1]
+                    continue
+            elif pos == 0:
+                return DecisionResult(NO, None, nodes, time.monotonic() - start)
             else:
-                if sc[c] > 1:
-                    self.s_evens[sid] += 1
-                self.s_odds[sid] -= 1
-            sc[c] -= 1
-            self.s_uncolored[sid] += 1
-
-    def _prune_after(self, v, dirty):
-        # rule (b): fully colored scopes must satisfy the parity predicate
-        for sid in dirty:
-            if self.s_uncolored[sid] == 0 and not self._scope_ok_final(sid):
-                return True
-        if self.mode != ALL_ODD or not self.scopes:
-            return False
-        # rule (c): a pending even color must keep a possible fixer.  The
-        # assignment can consume fixers in any scope touching v or its
-        # neighbors, so those scopes are rechecked.
-        seen = set(dirty)
-        check = list(dirty)
-        for u in self.adj[v]:
-            for sid in self.vscopes[u]:
-                if sid not in seen:
-                    seen.add(sid)
-                    check.append(sid)
-        for sid in check:
-            if self.s_evens[sid] == 0 or self.s_uncolored[sid] == 0:
-                continue
-            sc = self.scount[sid]
-            for c in range(self.k):
-                if sc[c] > 0 and sc[c] % 2 == 0 and not self._has_fixer(sid, c):
-                    return True
-        return False
-
-    def run(self, budget: Budget, nodes_used=0, time_used=0.0):
-        self.start = time.monotonic()
-        self.node_cap = budget.max_nodes - nodes_used
-        self.deadline = self.start + max(0.0, budget.max_time - time_used)
-        try:
-            witness = self._search(0, -1)
-        except _BudgetExceeded:
-            return DecisionResult(
-                UNKNOWN, None, self.nodes, time.monotonic() - self.start
-            )
-        elapsed = time.monotonic() - self.start
-        if witness is None:
-            return DecisionResult(NO, None, self.nodes, elapsed)
-        return DecisionResult(YES, Coloring(tuple(witness)), self.nodes, elapsed)
-
-    def _search(self, pos, max_used):
-        if pos == self.n:
-            return list(self.color)
-        v = self.order[pos]
-        limit = min(max_used + 1, self.k - 1)
-        pcv = self.pcount[v]
-        for c in range(limit + 1):
-            if pcv[c]:
-                continue
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise _BudgetExceeded
-            if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-                raise _BudgetExceeded
-            dirty = self._assign(v, c)
-            if not self._prune_after(v, dirty):
-                found = self._search(pos + 1, max(max_used, c))
-                if found is not None:
-                    self._undo(v, c)
-                    return found
-            self._undo(v, c)
-        return None
+                pos -= 1
+                v = order[pos]
+                c = color[v]
+                cb = 1 << c
+            # undo v := c at depth pos; the next color to try there is c + 1
+            color[v] = -1
+            uncolored |= 1 << v
+            blocked[c] = saved_blocked[pos]
+            fresh = vsmask[v] & ~saved_used[pos]
+            used_in[c] = saved_used[pos]
+            odd_in[c] ^= vsmask[v]
+            for sid in vscopes[v]:
+                par[sid] ^= cb
+                if fresh >> sid & 1:
+                    used[sid] &= ~cb
+            nxt[pos] = c + 1
+        return DecisionResult(
+            YES, Coloring(tuple(color)), nodes, time.monotonic() - start
+        )
 
 
 def _strong_odd_scopes(g: Graph):
@@ -226,8 +278,8 @@ def is_k_strong_odd_colorable(
     if k < 1:
         raise ValueError("k must be positive")
     budget = budget or Budget()
-    search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD, k)
-    return search.run(budget)
+    search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
+    return search.run(k, budget)
 
 
 def greedy_clique_lower_bound(g: Graph) -> int:
@@ -250,22 +302,26 @@ def greedy_clique_lower_bound(g: Graph) -> int:
 
 def _solve(n, adj, scopes, mode, lo, budget) -> SolveResult:
     """Ascending-k search; first feasible k with all smaller k refuted
-    (a rainbow coloring caps k at n)."""
+    (a rainbow coloring caps k at n).  A budget that runs out leaves the
+    bracket lo..hi with a greedy witness at hi."""
     budget = budget or Budget()
     if n == 0:
         return SolveResult(0, Coloring(()), True, 0, 0.0, 0, 0)
     start = time.monotonic()
     nodes = 0
     k = max(1, lo)
+    search = _ParitySearch(n, adj, scopes, mode)
     while True:
-        search = _ParitySearch(n, adj, scopes, mode, k)
-        res = search.run(budget, nodes, time.monotonic() - start)
+        res = search.run(k, budget, nodes, time.monotonic() - start)
         nodes += res.nodes_explored
-        elapsed = time.monotonic() - start
         if res.status == YES:
-            return SolveResult(k, res.witness, True, nodes, elapsed, k, k)
+            return SolveResult(k, res.witness, True, nodes,
+                               time.monotonic() - start, k, k)
         if res.status == UNKNOWN:
-            return SolveResult(None, None, False, nodes, elapsed, k, n)
+            phi = search.greedy()
+            optimal = phi.k == k
+            return SolveResult(k if optimal else None, phi, optimal, nodes,
+                               time.monotonic() - start, k, phi.k)
         k += 1
         if k > n:
             raise AssertionError("search exceeded the trivial upper bound")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from strongodd.colorings import coloring_to_json_dict
 from strongodd.constructive import color_cycle
 from strongodd.graphs import make_cycle, save_json, to_json_dict
 from strongodd.planemaps import embed_cycle, map_to_json_dict, save_map
+from strongodd.randgen import random_graph
 
 
 def run(capsys, *argv):
@@ -68,6 +70,18 @@ def test_color_methods(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["colors"]) == 9 and len(data["complement_colors"]) == 9
+
+
+def test_color_product_exits_1_when_a_factor_solve_gives_up(tmp_path, capsys):
+    gpath = tmp_path / "g26.json"
+    save_json(random_graph(26, 0.3, random.Random(26)), gpath)
+    code = main(["color", "--method", "product", "--kind", "cartesian",
+                 "--left", str(gpath), "--right", str(gpath),
+                 "--max-time", "0.001"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: left factor: budget exhausted")
+    assert "chi_so in [" in captured.err
 
 
 def test_product_command(tmp_path, capsys):

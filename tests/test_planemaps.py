@@ -305,6 +305,24 @@ def test_chi_pfo_node_count_pinned():
     assert (res.value, res.nodes_explored) == (3, 6)
 
 
+def test_chi_pfo_node_count_pinned_on_claim2_piece():
+    pm = random_planar_map(40, random.Random("pfo:40"))
+    pieces = decompose_claim1(pm, chi_exact(pm.underlying).witness)
+    piece = max(pieces, key=lambda q: q.n)
+    r = chi_pfo_exact(augment_claim2(piece), Budget(max_nodes=10_000))
+    assert (piece.n, r.value, r.optimal, r.lo, r.nodes_explored) == (13, 5, True, 5, 205)
+
+
+def test_chi_pfo_budget_exhaustion_keeps_a_facially_odd_witness():
+    pm = random_planar_map(40, random.Random("pfo:40"))
+    for piece in decompose_claim1(pm, chi_exact(pm.underlying).witness):
+        if piece.n >= 3:
+            aug = augment_claim2(piece)
+            r = chi_pfo_exact(aug, Budget(max_nodes=2))
+            assert is_proper_facially_odd(aug, r.witness) == []
+            assert r.witness.k == r.hi >= r.lo
+
+
 def test_chi_pfo_requires_two_connected():
     with pytest.raises(MapError):
         chi_pfo_exact(embed_path(4))

@@ -22,6 +22,7 @@ from strongodd.solver import (
     chi_square_exact,
     is_k_strong_odd_colorable,
 )
+from strongodd.randgen import random_graph
 
 
 def test_decision_examples():
@@ -111,6 +112,36 @@ def test_grid_node_counts_pinned(solve, value, nodes):
     assert (res.value, res.nodes_explored) == (value, nodes)
 
 
+# (n, p, value, optimal, lo, nodes) of chi_so under a 10,000-node budget
+# on G(n, p) drawn from random.Random(f"{n}:{p}"); four solves give up.
+_GNP_PINS = [
+    (12, 0.2, 3, True, 3, 17), (12, 0.3, 6, True, 6, 106),
+    (12, 0.5, 12, True, 12, 168), (14, 0.2, 5, True, 5, 113),
+    (14, 0.3, 6, True, 6, 102), (14, 0.5, 14, True, 14, 429),
+    (16, 0.2, 5, True, 5, 692), (16, 0.3, 10, True, 10, 1233),
+    (16, 0.5, 13, True, 13, 568), (18, 0.2, 6, True, 6, 284),
+    (18, 0.3, 7, True, 7, 4125), (18, 0.5, 18, True, 18, 1960),
+    (20, 0.2, None, False, 7, 10001), (20, 0.3, None, False, 11, 10001),
+    (20, 0.5, 20, True, 20, 2620), (22, 0.2, None, False, 7, 10001),
+    (22, 0.3, None, False, 10, 10001), (22, 0.5, 22, True, 22, 2412),
+]
+
+
+def test_random_graph_node_counts_pinned():
+    got = []
+    for n, p, *_ in _GNP_PINS:
+        g = random_graph(n, p, random.Random(f"{n}:{p}"))
+        r = chi_so_exact(g, Budget(max_nodes=10_000))
+        got.append((n, p, r.value, r.optimal, r.lo, r.nodes_explored))
+    assert got == _GNP_PINS
+
+
+def test_chi_odd_node_count_pinned():
+    g = random_graph(16, 0.3, random.Random("odd:16:0.3"))
+    r = chi_odd_exact(g, Budget(max_nodes=10_000))
+    assert (r.value, r.optimal, r.lo, r.nodes_explored) == (4, True, 4, 412)
+
+
 def test_budget_exhaustion_reports_unknown():
     g = gallery("G12a").graph
     res = is_k_strong_odd_colorable(g, 11, Budget(max_nodes=5))
@@ -118,6 +149,38 @@ def test_budget_exhaustion_reports_unknown():
     solve = chi_so_exact(g, Budget(max_nodes=5))
     assert solve.value is None and not solve.optimal
     assert solve.lo >= 1 and solve.hi == g.n
+
+
+@pytest.mark.parametrize("solve,verify", [
+    (chi_so_exact, is_strong_odd),
+    (chi_exact, is_proper),
+    (chi_odd_exact, is_odd),
+    (chi_square_exact, lambda g, phi: is_proper(square(g), phi)),
+])
+def test_budget_exhaustion_brackets_with_a_valid_witness(solve, verify):
+    rng = random.Random(31)
+    for n in (12, 16, 20, 24):
+        g = random_graph(n, 0.3, rng)
+        res = solve(g, Budget(max_nodes=3))
+        assert verify(g, res.witness) == []
+        assert res.witness.k == res.hi and res.lo <= res.hi < n
+        assert res.optimal == (res.value is not None) == (res.hi == res.lo)
+
+
+def test_greedy_witness_at_the_lower_bound_is_optimal():
+    # the search at k = 2 gives up, and first-fit 2-colors the path
+    res = chi_exact(make_path(12), Budget(max_nodes=1))
+    assert (res.value, res.optimal, res.lo, res.hi) == (2, True, 2, 2)
+    assert is_proper(make_path(12), res.witness) == []
+
+
+def test_deep_inputs_do_not_hit_the_recursion_limit():
+    path = make_path(1500)
+    assert chi_so_exact(path).value == 3
+    assert chi_exact(path).value == 2
+    assert is_k_strong_odd_colorable(path, 2).status == "no"
+    res = is_k_strong_odd_colorable(path, 3)
+    assert res.status == "yes" and is_strong_odd(path, res.witness) == []
 
 
 def test_brute_force_guard():
