@@ -8,11 +8,10 @@ sets.  An empty report means the predicate holds.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, square
+from .graphs import Graph
 
 NOT_PROPER = "not_proper"
 EVEN_COLOR = "even_color_in_neighborhood"
@@ -56,60 +55,80 @@ def _check_length(g: Graph, phi: Coloring) -> None:
         raise ValueError(f"coloring length {len(phi)} does not match n={g.n}")
 
 
+def color_counts(colors: Sequence[int], members: Iterable[int]) -> dict[int, int]:
+    """How many of the member vertices carry each color."""
+    counts: dict[int, int] = {}
+    for u in members:
+        c = colors[u]
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
 def neighborhood_histogram(g: Graph, phi: Coloring, v: int) -> dict[int, int]:
     """Color counts over the open neighborhood of v."""
     _check_length(g, phi)
-    return dict(Counter(phi.colors[u] for u in g.adj[v]))
+    return color_counts(phi.colors, g.adj[v])
 
 
 def is_proper(g: Graph, phi: Coloring) -> list[Violation]:
     """Empty iff no edge joins two vertices of the same color."""
     _check_length(g, phi)
+    colors = phi.colors
     out = []
     for v in range(g.n):
-        same = sum(1 for u in g.adj[v] if phi.colors[u] == phi.colors[v])
+        c = colors[v]
+        same = sum(1 for u in g.adj[v] if colors[u] == c)
         if same:
-            out.append(Violation(NOT_PROPER, v, phi.colors[v], same))
+            out.append(Violation(NOT_PROPER, v, c, same))
     return out
+
 
 def is_strong_odd(g: Graph, phi: Coloring) -> list[Violation]:
     """Proper, and every color present in any open neighborhood has odd
     multiplicity there."""
-    out = is_proper(g, phi)
+    _check_length(g, phi)
+    colors = phi.colors
+    out, even = [], []
     for v in range(g.n):
-        for c, cnt in sorted(neighborhood_histogram(g, phi, v).items()):
+        c = colors[v]
+        counts = color_counts(colors, g.adj[v])
+        if c in counts:
+            out.append(Violation(NOT_PROPER, v, c, counts[c]))
+        for col, cnt in sorted(counts.items()):
             if cnt % 2 == 0:
-                out.append(Violation(EVEN_COLOR, v, c, cnt))
-    return out
+                even.append(Violation(EVEN_COLOR, v, col, cnt))
+    return out + even
 
 
 def is_odd(g: Graph, phi: Coloring) -> list[Violation]:
     """Proper, and every non-isolated vertex sees some color an odd
     number of times."""
-    out = is_proper(g, phi)
+    _check_length(g, phi)
+    colors = phi.colors
+    out, no_odd = [], []
     for v in range(g.n):
-        if not g.adj[v]:
-            continue
-        hist = neighborhood_histogram(g, phi, v)
-        if all(cnt % 2 == 0 for cnt in hist.values()):
-            out.append(Violation(NO_ODD_COLOR, v))
-    return out
+        c = colors[v]
+        counts = color_counts(colors, g.adj[v])
+        if c in counts:
+            out.append(Violation(NOT_PROPER, v, c, counts[c]))
+        if counts and all(cnt % 2 == 0 for cnt in counts.values()):
+            no_odd.append(Violation(NO_ODD_COLOR, v))
+    return out + no_odd
 
 
 def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
     """Proper on the square of g.  Distance-2 conflicts are reported with
     their own kind so they are distinguishable from plain edge conflicts."""
-    _check_length(g, phi)
     out = is_proper(g, phi)
-    g2 = square(g)
-    for v in range(g2.n):
-        clash = sum(
-            1
-            for u in g2.adj[v]
-            if phi.colors[u] == phi.colors[v] and not g.has_edge(u, v)
-        )
+    colors = phi.colors
+    for v in range(g.n):
+        c = colors[v]
+        nbrs = g.adj[v]
+        far = {w for u in nbrs for w in g.adj[u] if colors[w] == c}
+        far.discard(v)
+        clash = len(far - nbrs)
         if clash:
-            out.append(Violation(DISTANCE2_CLASH, v, phi.colors[v], clash))
+            out.append(Violation(DISTANCE2_CLASH, v, c, clash))
     return out
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .colorings import Coloring, is_strong_odd
@@ -172,43 +171,17 @@ def color_tree_constrained(
 # Cycles
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def cycle_pattern(n: int) -> tuple[int, ...]:
-    """Color sequence along a cycle: 3 colors when 3 divides n, a rainbow
-    for n = 5, otherwise a 4-color pattern found once by backtracking a
-    proper coloring of the cycle's square."""
+    """Color sequence along a cycle: (012)* when 3 divides n, the rainbow
+    01234 for n = 5, otherwise (012)* ending in 0123 (n = 1 mod 3) or in
+    03123 (n = 2 mod 3).  Any three cyclically consecutive colors differ,
+    so every neighborhood is rainbow."""
     if n < 3:
         raise ConstructionError("cycle needs at least three vertices")
-    if n % 3 == 0:
-        return tuple(i % 3 for i in range(n))
     if n == 5:
         return (0, 1, 2, 3, 4)
-    pattern = [-1] * n
-
-    def ok(i, c):
-        for j in (i - 1, i - 2):
-            if pattern[j % n] >= 0 and pattern[j % n] == c and i - j <= 2:
-                return False
-        if i == n - 1 and (c == pattern[0] or c == pattern[1]):
-            return False
-        if i == n - 2 and c == pattern[0]:
-            return False
-        return True
-
-    def rec(i):
-        if i == n:
-            return True
-        for c in range(4):
-            if ok(i, c):
-                pattern[i] = c
-                if rec(i + 1):
-                    return True
-                pattern[i] = -1
-        return False
-
-    if not rec(0):
-        raise AssertionError(f"no 4-color cycle pattern for n={n}")
-    return tuple(pattern)
+    tail = ((), (0, 1, 2, 3), (0, 3, 1, 2, 3))[n % 3]
+    return (0, 1, 2) * ((n - len(tail)) // 3) + tail
 
 
 def color_cycle(n: int, log: Optional[ProvenanceLog] = None) -> Coloring:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .colorings import Coloring
+from .colorings import Coloring, color_counts, is_proper, is_strong_odd
 from .graphs import Graph
 from .solver import Budget, SolveResult, greedy_clique_lower_bound, solve_parity_system
 
@@ -102,9 +102,6 @@ class PlaneMultigraph:
     @property
     def darts(self) -> range:
         return range(2 * self.m)
-
-    def twin(self, d: int) -> int:
-        return d ^ 1
 
     def vertex_of(self, d: int) -> int:
         u, v = self.edges[d // 2]
@@ -711,7 +708,7 @@ def annihilation_report(
         return problems
     # clause 3: locate the new face and compare its walk with the
     # reversed neighbor order around v
-    nbrs = [before.vertex_of(before.twin(d)) for d in before.rotation[v]]
+    nbrs = [before.head_of(d) for d in before.rotation[v]]
     target = remaining[0]
     new_face = None
     for cyc, verts in zip(fd_after.faces, fd_after.boundary_vertices):
@@ -757,8 +754,6 @@ def decompose_claim1(
     g = m.underlying
     if len(m.edges) != g.m:
         raise MapError("decomposition requires a simple input map")
-    from .colorings import is_proper
-
     if len(phi) != m.n:
         raise MapError("coloring length mismatch")
     if is_proper(g, phi):
@@ -926,10 +921,7 @@ def is_facially_odd(m: PlaneMultigraph, phi: Coloring) -> list[FaceViolation]:
         raise MapError("coloring length mismatch")
     out = []
     for fi, verts in enumerate(m.face_vertex_sets()):
-        counts = {}
-        for v in verts:
-            counts[phi.colors[v]] = counts.get(phi.colors[v], 0) + 1
-        for c, cnt in sorted(counts.items()):
+        for c, cnt in sorted(color_counts(phi.colors, verts).items()):
             if cnt % 2 == 0:
                 out.append(FaceViolation("even_color_on_face", fi, c, cnt))
     return out
@@ -976,7 +968,12 @@ def strong_odd_via_planar_detailed(
 ) -> PipelineResult:
     """Decompose along a proper coloring, 2-connect each piece, color
     each augmented piece facially odd with a disjoint palette, and take
-    the union: a strong odd coloring of the input graph."""
+    the union: a strong odd coloring of the input graph.
+
+    A piece whose facially odd search runs out of budget is colored with
+    the search's witness at hi (pfo_values holds None for it), so the
+    union stays strong odd, with more colors than an optimal piece may
+    need."""
     budget = budget or Budget()
     if not m.underlying.is_connected():
         raise MapError("pipeline input must be connected")
@@ -991,10 +988,7 @@ def strong_odd_via_planar_detailed(
         if piece.n >= 3:
             aug = augment_claim2(piece)
             res = chi_pfo_exact(aug, budget)
-            if res.value is None:
-                raise MapError("budget exhausted while coloring a piece")
-            local = res.witness.colors
-            cnt = res.value
+            local, cnt = res.witness.colors, res.hi
             pfo.append(res.value)
         else:
             pfo.append(None)
@@ -1010,8 +1004,6 @@ def strong_odd_via_planar_detailed(
         offset += cnt
         counts.append(cnt)
     coloring = Coloring(tuple(final))
-    from .colorings import is_strong_odd
-
     bad = is_strong_odd(m.underlying, coloring)
     if bad:
         raise AssertionError(f"pipeline produced an invalid coloring: {bad[0]}")

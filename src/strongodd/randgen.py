@@ -84,7 +84,7 @@ def random_planar_map(
     random subset of non-bridge edges removed."""
     pm = random_triangulation(n, rng)
     rot = [list(pm.rotation[v]) for v in range(pm.n)]
-    nbrs = [[pm.vertex_of(pm.twin(d)) for d in rot[v]] for v in range(pm.n)]
+    nbrs = [[pm.head_of(d) for d in rot[v]] for v in range(pm.n)]
     edges = list(pm.edges)
     rng.shuffle(edges)
     target = int(delete_fraction * len(edges))

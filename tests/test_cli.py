@@ -61,6 +61,9 @@ def test_color_methods(tmp_path, capsys):
     data = json.loads(out)
     assert data["colors"] == [0, 1, 2] * 3
     assert data["provenance"]
+    code, out = run(capsys, "color", "--method", "cycle", "--n", "1001")
+    assert code == 0
+    assert max(json.loads(out)["colors"]) + 1 == 4
     code, out = run(capsys, "color", "--method", "direct-complete",
                     "--p", "4", "--q", "3")
     assert code == 0

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from strongodd.colorings import (
     NO_ODD_COLOR,
     NOT_PROPER,
     Coloring,
+    Violation,
     is_odd,
     is_proper,
     is_square_coloring,
@@ -25,6 +28,7 @@ from strongodd.graphs import (
     make_path,
     make_star,
     product,
+    square,
 )
 
 
@@ -151,3 +155,66 @@ def test_claw_free_strong_odd_equals_square_verdict():
         phi = Coloring(tuple(rng.randrange(max(2, lg.n // 2)) for _ in range(lg.n)))
         assert bool(is_strong_odd(lg, phi)) == bool(is_square_coloring(lg, phi))
         checked += 1
+
+
+def _reference_violations(g: Graph, phi: Coloring) -> dict:
+    """The four predicates straight from their definitions: a Counter
+    histogram per open neighborhood, and distance-2 clashes read off the
+    square graph."""
+    c = phi.colors
+    hist = [Counter(c[u] for u in g.adj[v]) for v in range(g.n)]
+    proper = [Violation(NOT_PROPER, v, c[v], hist[v][c[v]])
+              for v in range(g.n) if hist[v][c[v]]]
+    even = [Violation(EVEN_COLOR, v, col, cnt)
+            for v in range(g.n) for col, cnt in sorted(hist[v].items()) if cnt % 2 == 0]
+    no_odd = [Violation(NO_ODD_COLOR, v) for v in range(g.n)
+              if g.adj[v] and all(cnt % 2 == 0 for cnt in hist[v].values())]
+    g2 = square(g)
+    clash = []
+    for v in range(g.n):
+        cnt = sum(1 for u in g2.adj[v] if c[u] == c[v] and not g.has_edge(u, v))
+        if cnt:
+            clash.append(Violation(DISTANCE2_CLASH, v, c[v], cnt))
+    return {
+        is_proper: proper,
+        is_strong_odd: proper + even,
+        is_odd: proper + no_odd,
+        is_square_coloring: proper + clash,
+    }
+
+
+@st.composite
+def few_color_instances(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    p = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = frozenset(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p
+    )
+    ids = draw(st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 7, 10**9)]))
+    colors = draw(st.tuples(*[st.sampled_from(ids) for _ in range(n)]))
+    return Graph(n, edges), Coloring(colors)
+
+
+@settings(max_examples=200)
+@given(few_color_instances())
+def test_verifiers_match_reference_definitions(gc):
+    g, phi = gc
+    for verifier, expected in _reference_violations(g, phi).items():
+        assert verifier(g, phi) == expected
+
+
+def test_huge_color_ids_allocate_nothing_per_id():
+    # counts are keyed by color id, never indexed or shifted by it
+    g = make_cycle(4)
+    phi = Coloring((0, 10**9, 0, 10**9))
+    tracemalloc.start()
+    try:
+        results = [f(g, phi) for f in (is_proper, is_odd, is_strong_odd, is_square_coloring)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert results[0] == []
+    assert [v.color for v in results[2]] == [10**9, 0, 10**9, 0]
+    assert len(results[1]) == 4 and len(results[3]) == 4

@@ -87,11 +87,12 @@ def test_cycle_patterns_match_formula_and_oracle():
 
 
 def test_cycle_pattern_is_square_proper():
-    for n in range(3, 30):
+    for n in [*range(3, 30), 1000, 1001, 1002, 4999]:
         pat = cycle_pattern(n)
         for i in range(n):
             assert pat[i] != pat[(i + 1) % n]
             assert pat[i] != pat[(i + 2) % n]
+        assert color_cycle(n).k == (3 if n % 3 == 0 else (5 if n == 5 else 4))
 
 
 def test_decompose_unicyclic():
@@ -118,6 +119,10 @@ def test_color_unicyclic_examples():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)])
     phi = color_unicyclic(g)
     assert is_strong_odd(g, phi) == [] and phi.k == 4
+    # a long cycle with one pendant vertex
+    g = Graph.from_edges(1002, [*make_cycle(1001).edges, (0, 1001)])
+    phi = color_unicyclic(g)
+    assert is_strong_odd(g, phi) == [] and phi.k <= 4
 
 
 def test_color_unicyclic_random_corpus():

@@ -379,3 +379,10 @@ def test_pipeline_random_corpus():
         res = strong_odd_via_planar_detailed(pm, phi, Budget(max_time=60))
         assert is_strong_odd(pm.underlying, res.coloring) == []
         assert res.coloring.k <= phi.k * max(res.piece_color_counts)
+    # pieces whose search runs out of budget are colored with the witness at hi
+    pm = random_planar_map(14, random.Random(2025))
+    phi = chi_exact(pm.underlying).witness
+    res = strong_odd_via_planar_detailed(pm, phi, Budget(max_nodes=1))
+    assert is_strong_odd(pm.underlying, res.coloring) == []
+    assert any(v is None for n, v in zip(res.piece_orders, res.pfo_values) if n >= 3)
+    assert res.coloring.k <= phi.k * max(res.piece_color_counts)
