@@ -88,7 +88,10 @@ def cmd_gen(args) -> int:
     elif args.family == "complete-multipartite":
         g = make_complete_multipartite([int(x) for x in args.parts.split(",")])
     elif args.family == "gallery":
-        g = gallery_entry(args.name).graph
+        try:
+            g = gallery_entry(args.name).graph
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     else:
         raise SystemExit(f"unknown family {args.family}")
     _emit(to_json_dict(g), args.format)

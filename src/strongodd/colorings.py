@@ -141,15 +141,9 @@ def coloring_from_json_dict(data: dict) -> Coloring:
         colors = data["colors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coloring JSON: {exc}") from exc
-    if not all(isinstance(c, int) for c in colors):
-        raise ValueError("colors must be integers")
+    if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
+        raise ValueError("colors must be a list of integers")
     return Coloring(tuple(colors))
-
-
-def save_coloring(phi: Coloring, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(coloring_to_json_dict(phi), fh)
-        fh.write("\n")
 
 
 def load_coloring(path) -> Coloring:

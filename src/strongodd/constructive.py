@@ -72,27 +72,24 @@ def is_odd_tree(t: Graph) -> bool:
 
 
 def _color_below_root_children(
-    t: Graph, plan: RootedTreePlan, colors, palette: Sequence[int], log: ProvenanceLog
+    adj, parent: Sequence[int], order: Sequence[int], colors, avoid: Sequence[int],
+    log: ProvenanceLog,
 ) -> None:
-    """Fill in colors below the root's children, breadth-first: an even
-    set of children copies the parent's color, an odd set sends one child
-    to the palette color missing from vertex and parent."""
-    palette = set(palette)
-    for v in plan.bfs_order:
-        if v == plan.root:
-            continue
-        children = [u for u in sorted(t.adj[v]) if plan.parent[u] == v]
+    """Color the children of each vertex of order, parents first.  The
+    palette at v is 0..3 without avoid[v].  An even set of children
+    copies the parent's color; an odd set sends one child to the palette
+    color missing from vertex and parent, and the rest copy the parent's."""
+    for v in order:
+        children = [u for u in sorted(adj[v]) if parent[u] == v]
         log.tick()
         if not children:
             continue
-        pc = colors[plan.parent[v]]
-        if len(children) % 2 == 0:
-            for u in children:
-                colors[u] = pc
-        else:
-            colors[children[0]] = (palette - {colors[v], pc}).pop()
-            for u in children[1:]:
-                colors[u] = pc
+        pc = colors[parent[v]]
+        odd = len(children) % 2
+        if odd:
+            colors[children[0]] = min({0, 1, 2, 3} - {avoid[v], colors[v], pc})
+        for u in children[odd:]:
+            colors[u] = pc
         log.tick(len(children))
 
 
@@ -122,49 +119,11 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
             colors[u] = 1
         log.tick(len(root_nbrs))
         log.note(f"root {plan.root}: even degree, one neighbor recolored")
-    _color_below_root_children(t, plan, colors, (0, 1, 2), log)
+    # palette 0..2 everywhere
+    _color_below_root_children(
+        t.adj, plan.parent, plan.bfs_order[1:], colors, (3,) * t.n, log
+    )
     return Coloring(tuple(colors))
-
-
-def color_tree_constrained(
-    t: Graph,
-    root: int,
-    root_color: int,
-    forbidden_color: int,
-    palette: Sequence[int],
-    log: Optional[ProvenanceLog] = None,
-) -> dict[int, int]:
-    """Color a pendant tree whose root hangs off an already colored vertex.
-
-    The virtual parent of the root carries forbidden_color (one occurrence
-    in the root's neighborhood that cannot be matched), so an even set of
-    root children is split into two odd monochromatic groups on the two
-    palette colors other than root_color; an odd set is monochromatic.
-    Returns vertex -> color over the tree only.
-    """
-    log = log if log is not None else ProvenanceLog()
-    palette = tuple(palette)
-    if len(set(palette)) != 3:
-        raise ConstructionError("palette must contain three distinct colors")
-    if root_color not in palette:
-        raise ConstructionError("root color must belong to the palette")
-    if forbidden_color in palette:
-        raise ConstructionError("forbidden color must lie outside the palette")
-    plan = plan_rooted_tree(t, root)
-    colors = {root: root_color}
-    others = [c for c in palette if c != root_color]
-    root_children = [u for u in sorted(t.adj[root])]
-    log.tick(1 + len(root_children))
-    if root_children:
-        if len(root_children) % 2 == 0:
-            for u in root_children[:-1]:
-                colors[u] = others[0]
-            colors[root_children[-1]] = others[1]
-        else:
-            for u in root_children:
-                colors[u] = others[0]
-    _color_below_root_children(t, plan, colors, palette, log)
-    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +160,13 @@ def color_cycle(n: int, log: Optional[ProvenanceLog] = None) -> Coloring:
 class UnicycleDecomposition:
     cycle: tuple[int, ...]
     pendant_roots: dict[int, tuple[int, ...]]  # cycle vertex -> off-cycle nbrs
-    tree_vertices: dict[int, tuple[int, ...]]  # root -> its subtree (incl. root)
+    parent: tuple[int, ...]  # neighbor toward the cycle; -1 on the cycle
+    forest_order: tuple[int, ...]  # off-cycle vertices breadth-first, roots first
 
 
 def decompose_unicyclic(g: Graph) -> UnicycleDecomposition:
-    """Locate the unique cycle by leaf stripping and group pendant trees."""
+    """Locate the unique cycle by leaf stripping, then walk the pendant
+    forest breadth-first from the cycle."""
     if g.m != g.n or not g.is_connected():
         raise ConstructionError("input is not a connected unicyclic graph")
     deg = [g.degree(v) for v in range(g.n)]
@@ -219,45 +180,31 @@ def decompose_unicyclic(g: Graph) -> UnicycleDecomposition:
                 deg[u] -= 1
                 if deg[u] == 1:
                     queue.append(u)
-    cyc_set = {v for v in range(g.n) if alive[v]}
-    start = min(cyc_set)
+    start = alive.index(True)
     seq = [start]
     prev = -1
     while True:
-        nxt = min(u for u in g.adj[seq[-1]] if u in cyc_set and u != prev)
+        nxt = min(u for u in g.adj[seq[-1]] if alive[u] and u != prev)
         if nxt == start:
             break
         prev = seq[-1]
         seq.append(nxt)
+    parent = [-1] * g.n
+    seen = alive[:]
+    order = []
     pendant_roots = {}
-    tree_vertices = {}
-    for a in seq:
-        roots = tuple(sorted(u for u in g.adj[a] if u not in cyc_set))
-        if roots:
-            pendant_roots[a] = roots
-            for r in roots:
-                comp = [r]
-                stack = [r]
-                seen = {a, r}
-                while stack:
-                    x = stack.pop()
-                    for y in g.adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            comp.append(y)
-                            stack.append(y)
-                tree_vertices[r] = tuple(sorted(comp))
-    return UnicycleDecomposition(tuple(seq), pendant_roots, tree_vertices)
-
-
-def _subtree_graph(g: Graph, verts: Sequence[int]) -> tuple[Graph, dict[int, int]]:
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    ]
-    return Graph.from_edges(len(verts), edges), index
+    queue = deque(seq)
+    while queue:
+        x = queue.popleft()
+        children = [u for u in sorted(g.adj[x]) if not seen[u]]
+        for u in children:
+            seen[u] = True
+            parent[u] = x
+        if children and alive[x]:
+            pendant_roots[x] = tuple(children)
+        order.extend(children)
+        queue.extend(children)
+    return UnicycleDecomposition(tuple(seq), pendant_roots, tuple(parent), tuple(order))
 
 
 def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
@@ -274,67 +221,71 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     cyc = dec.cycle
     nc = len(cyc)
     colors = [-1] * g.n
+    if nc == 5 and dec.pendant_roots:
+        # start at the first cycle vertex with pendants (the anchor): a
+        # rainbow on four colors whose last vertex repeats the anchor's
+        # successor color
+        i = next(i for i, v in enumerate(cyc) if v in dec.pendant_roots)
+        ring, pat = cyc[i:] + cyc[:i], (0, 1, 2, 3, 1)
+    else:
+        ring, pat = cyc, cycle_pattern(nc)
+    for v, c in zip(ring, pat):
+        colors[v] = c
+    log.tick(nc)
     if not dec.pendant_roots:
         log.note(f"bare cycle of length {nc}")
-        pat = cycle_pattern(nc)
-        for v, c in zip(cyc, pat):
-            colors[v] = c
-        log.tick(nc)
         return Coloring(tuple(colors))
 
-    if nc == 5:
-        # rainbow with a temporary color, then recolor the anchor's other
-        # cycle neighbor down to the successor color
-        anchor_pos = next(i for i, v in enumerate(cyc) if v in dec.pendant_roots)
-        ring = [cyc[(anchor_pos + i) % nc] for i in range(nc)]
-        a, b, c5c, d, e = ring
-        for v, col in zip(ring, (0, 1, 2, 3, 4)):
-            colors[v] = col
-        roots = dec.pendant_roots[a]
-        if len(roots) % 2 == 0:
-            for r in roots[:-1]:
-                colors[r] = 1
-            colors[roots[-1]] = 2
-            log.note(f"five-cycle anchor {a}: even pendant set split {len(roots) - 1}+1")
+    for i, a in enumerate(ring):
+        roots = dec.pendant_roots.get(a)
+        if not roots:
+            continue
+        if nc == 5 and i == 0:
+            if len(roots) % 2 == 0:
+                for r in roots[:-1]:
+                    colors[r] = 1
+                colors[roots[-1]] = 2
+                log.note(f"five-cycle anchor {a}: even pendant set split {len(roots) - 1}+1")
+            else:
+                for r in roots:
+                    colors[r] = 1
+                log.note(f"five-cycle anchor {a}: odd pendant set monochromatic")
         else:
-            for r in roots:
-                colors[r] = 1
-            log.note(f"five-cycle anchor {a}: odd pendant set monochromatic")
-        colors[e] = 1
-        log.tick(nc + len(roots))
-        remaining = [v for v in ring[1:] if v in dec.pendant_roots]
-    else:
-        pat = cycle_pattern(nc)
-        for v, c in zip(cyc, pat):
-            colors[v] = c
-        log.tick(nc)
-        remaining = [v for v in cyc if v in dec.pendant_roots]
-
-    for a in remaining:
-        pos = cyc.index(a)
-        succ = cyc[(pos + 1) % nc]
-        pred = cyc[(pos - 1) % nc]
-        roots = dec.pendant_roots[a]
-        if len(roots) % 2 == 0:
-            for r in roots:
-                colors[r] = colors[succ]
-            log.note(f"cycle vertex {a}: even pendant set copies a cycle neighbor")
-        else:
-            fourth = min({0, 1, 2, 3} - {colors[a], colors[succ], colors[pred]})
-            for r in roots:
-                colors[r] = fourth
-            log.note(f"cycle vertex {a}: odd pendant set in a fresh color")
+            succ = ring[(i + 1) % nc]
+            pred = ring[i - 1]
+            if len(roots) % 2 == 0:
+                for r in roots:
+                    colors[r] = colors[succ]
+                log.note(f"cycle vertex {a}: even pendant set copies a cycle neighbor")
+            else:
+                fourth = min({0, 1, 2, 3} - {colors[a], colors[succ], colors[pred]})
+                for r in roots:
+                    colors[r] = fourth
+                log.note(f"cycle vertex {a}: odd pendant set in a fresh color")
         log.tick(len(roots))
 
-    for a, roots in dec.pendant_roots.items():
-        palette = tuple(sorted({0, 1, 2, 3} - {colors[a]}))
-        for r in roots:
-            sub, index = _subtree_graph(g, dec.tree_vertices[r])
-            local = color_tree_constrained(
-                sub, index[r], colors[r], colors[a], palette, log
-            )
-            for v, i in index.items():
-                colors[v] = local[i]
+    # Pendant trees: the palette of a tree is 0..3 without the color of
+    # its cycle vertex.  An even set of root children splits into two odd
+    # monochromatic groups on the two palette colors other than the
+    # root's, an odd set is monochromatic; below the root children the
+    # general rule applies.
+    parent = dec.parent
+    avoid = [-1] * g.n
+    for v in dec.forest_order:
+        p = parent[v]
+        avoid[v] = colors[p] if avoid[p] < 0 else avoid[p]
+    nroots = sum(len(roots) for roots in dec.pendant_roots.values())
+    for r in dec.forest_order[:nroots]:
+        children = [u for u in sorted(g.adj[r]) if parent[u] == r]
+        log.tick(1 + len(children))
+        others = sorted({0, 1, 2, 3} - {avoid[r], colors[r]})
+        for u in children:
+            colors[u] = others[0]
+        if children and len(children) % 2 == 0:
+            colors[children[-1]] = others[1]
+    _color_below_root_children(
+        g.adj, parent, dec.forest_order[nroots:], colors, avoid, log
+    )
     return Coloring(tuple(colors))
 
 

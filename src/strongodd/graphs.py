@@ -270,6 +270,8 @@ def from_json_dict(data: dict) -> Graph:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(n, int):
         raise GraphError("n must be an integer")
+    if not isinstance(raw, list):
+        raise GraphError("edges must be a list")
     edges = []
     for e in raw:
         if not isinstance(e, (list, tuple)) or len(e) != 2:

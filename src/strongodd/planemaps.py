@@ -20,11 +20,12 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .colorings import Coloring, color_counts, is_proper, is_strong_odd
 from .graphs import Graph
-from .solver import Budget, SolveResult, greedy_clique_lower_bound, solve_parity_system
+from .solver import Budget, SolveResult, solve_parity_system
 
 
 class MapError(ValueError):
@@ -299,6 +300,10 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         raw_rot = data["rotation"]
     except (KeyError, TypeError) as exc:
         raise MapError(f"malformed map JSON: {exc}") from exc
+    if not isinstance(n, int):
+        raise MapError("n must be an integer")
+    if not isinstance(raw_edges, list) or not isinstance(raw_rot, dict):
+        raise MapError("edges must be a list and rotation an object")
     edges = [None] * len(raw_edges)
     for item in raw_edges:
         try:
@@ -306,13 +311,16 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
             u, v = item["ends"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MapError(f"malformed edge entry {item!r}") from exc
-        if not (0 <= e < len(raw_edges)) or edges[e] is not None:
-            raise MapError(f"bad edge id {e}")
+        if not isinstance(e, int) or not (0 <= e < len(raw_edges)) or edges[e] is not None:
+            raise MapError(f"bad edge id {e!r}")
         edges[e] = (u, v)
-    rotation = []
-    for v in range(n):
-        rotation.append(tuple(raw_rot.get(str(v), ())))
-    pm = PlaneMultigraph(n, tuple(edges), tuple(rotation))
+    rotation = [raw_rot.get(str(v), []) for v in range(n)]
+    if not all(isinstance(rot, list) for rot in rotation):
+        raise MapError("every rotation must be a list of dart ids")
+    if not set(map(type, chain.from_iterable(edges + rotation))) <= {int}:
+        raise MapError("edge ends and dart ids must be integers")
+    rotation = tuple(map(tuple, rotation))
+    pm = PlaneMultigraph(n, tuple(edges), rotation)
     trace_faces(pm)  # Euler validation
     return pm
 
@@ -376,9 +384,6 @@ class _MapBuilder:
 
     def degree(self, v: int) -> int:
         return len(self.rot[v])
-
-    def neighbors_in_order(self, v: int) -> list[int]:
-        return [self.vert[d ^ 1] for d in self.rot[v]]
 
     def components(self) -> list[set[int]]:
         seen = set()
@@ -943,12 +948,8 @@ def chi_pfo_exact(m: PlaneMultigraph, budget: Optional[Budget] = None) -> SolveR
         raise MapError("facially odd search needs at least three vertices")
     if not is_two_connected(m):
         raise MapError("facially odd search requires a 2-connected map")
-    g = m.underlying
     scopes = [tuple(sorted(s)) for s in m.face_vertex_sets()]
-    return solve_parity_system(
-        m.n, [sorted(a) for a in g.adj], scopes,
-        budget=budget, lo=greedy_clique_lower_bound(g),
-    )
+    return solve_parity_system(m.n, m.underlying.adj, scopes, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,31 @@ class _ParitySearch:
         # the scopes of v's neighbors that do not contain v
         self.others = [_or(vsmask[u] for u in a) & ~vsmask[v] for v, a in enumerate(adj)]
 
+    def clique_bound(self) -> int:
+        """Size of the largest clique grown greedily from each of the
+        first 16 vertices of the search order, always adding the
+        candidate with the most neighbors among the candidates (ties to
+        the smaller id); a lower bound for every parameter."""
+        nbr = self.nbr
+        best = 1
+        for s in self.order[:16]:
+            size = 1
+            cand = nbr[s]
+            while cand:
+                pick, most = -1, -1
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    x = low.bit_length() - 1
+                    d = (nbr[x] & cand).bit_count()
+                    if d > most:
+                        pick, most = x, d
+                    rest ^= low
+                size += 1
+                cand &= nbr[pick]
+            best = max(best, size)
+        return best
+
     def greedy(self) -> Coloring:
         """First-fit coloring of the conflict graph, largest conflict
         degree first: proper and rainbow on every scope, so it meets
@@ -282,35 +307,17 @@ def is_k_strong_odd_colorable(
     return search.run(k, budget)
 
 
-def greedy_clique_lower_bound(g: Graph) -> int:
-    """Size of a greedily grown clique; a valid lower bound for chi and
-    everything above it in the parameter chain."""
-    if g.n == 0:
-        return 0
-    best = 1
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for s in order[: min(g.n, 16)]:
-        clique = [s]
-        cand = set(g.adj[s])
-        while cand:
-            x = min(cand, key=lambda v: (-len(g.adj[v] & cand), v))
-            clique.append(x)
-            cand &= g.adj[x]
-        best = max(best, len(clique))
-    return best
-
-
-def _solve(n, adj, scopes, mode, lo, budget) -> SolveResult:
-    """Ascending-k search; first feasible k with all smaller k refuted
-    (a rainbow coloring caps k at n).  A budget that runs out leaves the
-    bracket lo..hi with a greedy witness at hi."""
+def _solve(n, adj, scopes, mode, budget) -> SolveResult:
+    """Ascending-k search from the clique bound; first feasible k with
+    all smaller k refuted (a rainbow coloring caps k at n).  A budget
+    that runs out leaves the bracket lo..hi with a greedy witness at hi."""
     budget = budget or Budget()
     if n == 0:
         return SolveResult(0, Coloring(()), True, 0, 0.0, 0, 0)
     start = time.monotonic()
     nodes = 0
-    k = max(1, lo)
     search = _ParitySearch(n, adj, scopes, mode)
+    k = search.clique_bound()
     while True:
         res = search.run(k, budget, nodes, time.monotonic() - start)
         nodes += res.nodes_explored
@@ -329,17 +336,16 @@ def _solve(n, adj, scopes, mode, lo, budget) -> SolveResult:
 
 def chi_so_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
     """Exact strong odd chromatic number."""
-    return _solve(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD,
-                  greedy_clique_lower_bound(g), budget)
+    return _solve(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD, budget)
 
 
 def chi_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
-    return _solve(g.n, g.adj, [], ALL_ODD, greedy_clique_lower_bound(g), budget)
+    return _solve(g.n, g.adj, [], ALL_ODD, budget)
 
 
 def chi_odd_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
     scopes = [tuple(sorted(g.adj[v])) for v in range(g.n) if g.adj[v]]
-    return _solve(g.n, g.adj, scopes, EXISTS_ODD, greedy_clique_lower_bound(g), budget)
+    return _solve(g.n, g.adj, scopes, EXISTS_ODD, budget)
 
 
 def chi_square_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
@@ -351,10 +357,9 @@ def solve_parity_system(
     adj: Sequence[Sequence[int]],
     scopes: Sequence[Sequence[int]],
     budget: Optional[Budget] = None,
-    lo: int = 1,
 ) -> SolveResult:
     """Exact minimum over the generic engine (used for facially odd search)."""
-    return _solve(n, [frozenset(a) for a in adj], scopes, ALL_ODD, lo, budget)
+    return _solve(n, adj, scopes, ALL_ODD, budget)
 
 
 # ---------------------------------------------------------------------------

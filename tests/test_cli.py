@@ -124,7 +124,51 @@ def _dart_out_of_range(data):
     return data
 
 
-@pytest.mark.parametrize("corrupt", [_edges_without_id, _dart_out_of_range])
+def _n_as_string(data):
+    data["n"] = str(data["n"])
+    return data
+
+
+def _n_as_float(data):
+    data["n"] = float(data["n"])
+    return data
+
+
+def _rotation_as_list(data):
+    data["rotation"] = list(data["rotation"].values())
+    return data
+
+
+def _rotation_entry_as_int(data):
+    data["rotation"]["0"] = 0
+    return data
+
+
+def _dart_as_string(data):
+    data["rotation"]["0"] = [str(d) for d in data["rotation"]["0"]]
+    return data
+
+
+def _edge_id_as_string(data):
+    data["edges"][0]["id"] = str(data["edges"][0]["id"])
+    return data
+
+
+def _ends_as_strings(data):
+    data["edges"][0]["ends"] = [str(u) for u in data["edges"][0]["ends"]]
+    return data
+
+
+def _end_as_float(data):
+    data["edges"][0]["ends"][0] = float(data["edges"][0]["ends"][0])
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [
+    _edges_without_id, _dart_out_of_range, _n_as_string, _n_as_float,
+    _rotation_as_list, _rotation_entry_as_int, _dart_as_string,
+    _edge_id_as_string, _ends_as_strings, _end_as_float,
+])
 def test_malformed_map_exits_2(tmp_path, capsys, corrupt):
     mpath = tmp_path / "bad.json"
     mpath.write_text(json.dumps(corrupt(map_to_json_dict(embed_cycle(4)))))
@@ -139,10 +183,21 @@ def test_malformed_graph_and_coloring_exit_2(tmp_path, capsys):
     truncated.write_text(gpath.read_text()[:-5])
     assert main(["solve", "--graph", str(truncated)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    cpath = tmp_path / "col.json"
-    cpath.write_text(json.dumps({"colors": [0, 1, "2", 3]}))
-    assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath)]) == 2
+    null_edges = tmp_path / "null_edges.json"
+    null_edges.write_text(json.dumps({"n": 4, "edges": None}))
+    assert main(["solve", "--graph", str(null_edges)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    cpath = tmp_path / "col.json"
+    for bad in ({"colors": [0, 1, "2", 3]}, {"colors": None}):
+        cpath.write_text(json.dumps(bad))
+        assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gen_unknown_gallery_name_exits_2(capsys):
+    assert main(["gen", "--family", "gallery", "--name", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope" in err
 
 
 def test_corpus_command(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from strongodd.constructive import (
     color_cycle,
     color_direct_complete,
     color_tree,
-    color_tree_constrained,
     color_unicyclic,
     compose_lexicographic,
     compose_product_coloring,
@@ -109,7 +109,9 @@ def test_decompose_unicyclic():
                              (3, 6), (6, 7), (7, 8)])
     dec = decompose_unicyclic(g)
     assert len(dec.cycle) == 6
-    assert dec.tree_vertices[6] == (6, 7, 8)
+    assert dec.pendant_roots == {3: (6,)}
+    assert dec.forest_order == (6, 7, 8)
+    assert [dec.parent[v] for v in dec.forest_order] == [3, 6, 7]
     with pytest.raises(ConstructionError):
         decompose_unicyclic(make_path(4))
 
@@ -123,6 +125,46 @@ def test_color_unicyclic_examples():
     g = Graph.from_edges(1002, [*make_cycle(1001).edges, (0, 1001)])
     phi = color_unicyclic(g)
     assert is_strong_odd(g, phi) == [] and phi.k <= 4
+    # a leaf on every vertex of a long cycle
+    g = _leaf_per_vertex(4000)
+    phi = color_unicyclic(g)
+    assert is_strong_odd(g, phi) == [] and phi.k <= 4
+
+
+def _cycle_with_trees(c, n, rng):
+    """A c-cycle with random pendant trees on n vertices in all, under a
+    random relabeling."""
+    edges = [*make_cycle(c).edges, *((rng.randrange(v), v) for v in range(c, n))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _leaf_per_vertex(c):
+    """A c-cycle with one pendant leaf on each cycle vertex."""
+    return Graph.from_edges(2 * c, [*make_cycle(c).edges, *((v, c + v) for v in range(c))])
+
+
+def test_color_unicyclic_output_is_pinned():
+    # recorded from the earlier construction that colored each pendant
+    # tree as a separate subgraph; the one-pass walk must match it
+    def corpus():
+        rng = random.Random(5)
+        for _ in range(300):
+            yield random_unicyclic(rng.randint(3, 80), rng)
+        rng = random.Random(6)
+        for _ in range(100):
+            yield _cycle_with_trees(5, rng.randint(6, 40), rng)
+        for _ in range(100):
+            c = rng.randint(3, 12)
+            yield _cycle_with_trees(c, rng.randint(c, 60), rng)
+        for c in [*range(3, 13), 1000, 1001, 1002]:
+            yield _leaf_per_vertex(c)
+
+    h = hashlib.sha256()
+    for g in corpus():
+        h.update(repr(color_unicyclic(g).colors).encode())
+    assert h.hexdigest()[:16] == "527b7788da1da0a6"
 
 
 def test_color_unicyclic_random_corpus():
@@ -134,21 +176,6 @@ def test_color_unicyclic_random_corpus():
         dec = decompose_unicyclic(g)
         cap = 5 if (len(dec.cycle) == 5 and not dec.pendant_roots) else 4
         assert phi.k <= cap
-
-
-def test_color_tree_constrained_cases():
-    # a root with two children: they take the two other palette colors
-    t = make_star(2)
-    colors = color_tree_constrained(t, 0, 1, 0, (1, 2, 3))
-    assert colors[0] == 1 and {colors[1], colors[2]} == {2, 3}
-    # three children: monochromatic
-    t = make_star(3)
-    colors = color_tree_constrained(t, 0, 2, 0, (1, 2, 3))
-    assert len({colors[1], colors[2], colors[3]}) == 1
-    with pytest.raises(ConstructionError):
-        color_tree_constrained(t, 0, 0, 0, (1, 2, 3))
-    with pytest.raises(ConstructionError):
-        color_tree_constrained(t, 0, 1, 1, (1, 2, 3))
 
 
 def test_linear_time_step_counters():
