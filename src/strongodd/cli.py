@@ -254,6 +254,8 @@ def cmd_product(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plane(args) -> int:
+    if args.action in ("claim1", "pipeline") and args.coloring is None:
+        raise ValueError(f"plane {args.action} needs --coloring")
     m = planemaps.load_map(args.map)
     if args.action == "trace":
         fd = planemaps.trace_faces(m)

@@ -141,7 +141,8 @@ def coloring_from_json_dict(data: dict) -> Coloring:
         colors = data["colors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coloring JSON: {exc}") from exc
-    if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
+    # type(), not isinstance: JSON true and false are no colors
+    if not isinstance(colors, list) or not set(map(type, colors)) <= {int}:
         raise ValueError("colors must be a list of integers")
     return Coloring(tuple(colors))
 

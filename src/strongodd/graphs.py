@@ -268,7 +268,7 @@ def from_json_dict(data: dict) -> Graph:
         raw = data["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
-    if not isinstance(n, int):
+    if type(n) is not int:  # bool is an int subclass; JSON true is no count
         raise GraphError("n must be an integer")
     if not isinstance(raw, list):
         raise GraphError("edges must be a list")
@@ -277,7 +277,7 @@ def from_json_dict(data: dict) -> Graph:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphError(f"malformed edge entry {e!r}")
         u, v = e
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             raise GraphError(f"malformed edge entry {e!r}")
         edges.append((u, v))
     return Graph.from_edges(n, edges)

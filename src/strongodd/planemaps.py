@@ -17,9 +17,10 @@ connected map every region is a single orbit and the two views agree.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -73,17 +74,18 @@ class PlaneMultigraph:
                 raise MapError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise MapError(f"edge ({u},{v}) out of range")
-        seen = set()
+        tail = self._tail
+        seen = [False] * len(tail)
         for v, rot in enumerate(self.rotation):
             for d in rot:
-                if d in seen:
-                    raise MapError(f"dart {d} listed twice")
-                seen.add(d)
-                if not 0 <= d < 2 * self.m:
+                if not 0 <= d < len(tail):
                     raise MapError(f"dart {d} out of range")
-                if self.vertex_of(d) != v:
+                if seen[d]:
+                    raise MapError(f"dart {d} listed twice")
+                seen[d] = True
+                if tail[d] != v:
                     raise MapError(f"dart {d} does not leave vertex {v}")
-        if seen != set(range(2 * self.m)):
+        if not all(seen):
             raise MapError("rotation lists do not partition the dart set")
         if self.labels is not None and len(self.labels) != self.n:
             raise MapError("labels must name every vertex")
@@ -104,9 +106,64 @@ class PlaneMultigraph:
     def darts(self) -> range:
         return range(2 * self.m)
 
+    @cached_property
+    def _tail(self) -> list[int]:
+        """The vertex each dart leaves, indexed by dart."""
+        return list(chain.from_iterable(self.edges))
+
+    @cached_property
+    def _succ(self) -> list[int]:
+        """Face successor of each dart: the rotation successor of its twin."""
+        succ = [0] * len(self._tail)
+        for rot in self.rotation:
+            for d, after in zip(rot, rot[1:] + rot[:1]):
+                succ[d ^ 1] = after
+        return succ
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The face orbits, traced once per map."""
+        succ = self._succ
+        seen = [False] * len(succ)
+        faces = []
+        # each orbit is found from its smallest dart, so it starts there
+        for d0 in range(len(succ)):
+            if seen[d0]:
+                continue
+            cyc = [d0]
+            seen[d0] = True
+            d = succ[d0]
+            while d != d0:
+                cyc.append(d)
+                seen[d] = True
+                d = succ[d]
+            faces.append(tuple(cyc))
+        return tuple(faces)
+
+    @cached_property
+    def _component_of(self) -> list[int]:
+        """Index of each vertex's connected component, numbered in the
+        order of their smallest vertices; walks the rotations, so that
+        validating a map builds no underlying graph."""
+        tail = self._tail
+        comp_of = [-1] * self.n
+        ci = 0
+        for s in range(self.n):
+            if comp_of[s] >= 0:
+                continue
+            comp_of[s] = ci
+            stack = [s]
+            while stack:
+                for d in self.rotation[stack.pop()]:
+                    y = tail[d ^ 1]
+                    if comp_of[y] < 0:
+                        comp_of[y] = ci
+                        stack.append(y)
+            ci += 1
+        return comp_of
+
     def vertex_of(self, d: int) -> int:
-        u, v = self.edges[d // 2]
-        return u if d % 2 == 0 else v
+        return self._tail[d]
 
     def head_of(self, d: int) -> int:
         return self.vertex_of(d ^ 1)
@@ -122,9 +179,7 @@ class PlaneMultigraph:
         ))
 
     def next_dart(self, d: int) -> int:
-        rot = self.rotation[self.vertex_of(d ^ 1)]
-        i = rot.index(d ^ 1)
-        return rot[(i + 1) % len(rot)]
+        return self._succ[d]
 
     def effective_regions(self) -> tuple[Region, ...]:
         """Stored regions, or the side-by-side default: one region per
@@ -132,8 +187,8 @@ class PlaneMultigraph:
         orbit (and every isolated vertex) to a shared outer region."""
         if self.regions is not None:
             return self.regions
-        faces = trace_faces(self, validate=False).faces
-        comp_of = _component_index(self)
+        faces = self._orbits
+        comp_of = self._component_of
         isolated = frozenset(v for v in range(self.n) if not self.rotation[v])
         first_orbit = {}
         for fi, cyc in enumerate(faces):
@@ -158,8 +213,9 @@ class PlaneMultigraph:
     def face_vertex_sets(self) -> tuple[frozenset[int], ...]:
         """Geometric face boundaries as vertex sets.  An isolated vertex
         inside a face is a point component of its boundary."""
+        tail = self._tail
         return tuple(
-            frozenset(self.vertex_of(d) for d in darts) | iso
+            frozenset(map(tail.__getitem__, darts)) | iso
             for darts, iso in self.effective_regions()
         )
 
@@ -180,57 +236,38 @@ class FaceData:
 
 
 def trace_faces(m: PlaneMultigraph, validate: bool = True) -> FaceData:
-    """Orbits of the face successor; optionally check the Euler identity
-    on every connected component."""
-    seen = set()
-    faces = []
-    for d0 in m.darts:
-        if d0 in seen:
-            continue
-        cyc = []
-        d = d0
-        while True:
-            cyc.append(d)
-            seen.add(d)
-            d = m.next_dart(d)
-            if d == d0:
-                break
-        faces.append(tuple(cyc))
-    faces.sort(key=lambda c: min(c))
-    faces = tuple(tuple(c[c.index(min(c)):] + c[:c.index(min(c))]) for c in faces)
-    boundary = tuple(frozenset(m.vertex_of(d) for d in cyc) for cyc in faces)
+    """Orbits of the face successor, each starting at its smallest dart
+    and listed in that order; optionally check the Euler identity on
+    every connected component."""
+    if validate:
+        _check_euler(m)
+    faces, tail = m._orbits, m._tail
+    boundary = tuple(frozenset(map(tail.__getitem__, cyc)) for cyc in faces)
     inc = [set() for _ in range(m.n)]
     for fi, verts in enumerate(boundary):
         for v in verts:
             inc[v].add(fi)
-    if validate:
-        comp_of = _component_index(m)
-        ncomp = max(comp_of, default=-1) + 1
-        nc, mc, fc = [0] * ncomp, [0] * ncomp, [0] * ncomp
-        for v in range(m.n):
-            nc[comp_of[v]] += 1
-        for u, _ in m.edges:
-            mc[comp_of[u]] += 1
-        for cyc in faces:
-            fc[comp_of[m.vertex_of(cyc[0])]] += 1
-        for ci in range(ncomp):
-            # an isolated vertex has no orbit and is exempt
-            if mc[ci] and nc[ci] - mc[ci] + fc[ci] != 2:
-                raise MapError(
-                    f"component {ci}: Euler identity fails "
-                    f"({nc[ci]} - {mc[ci]} + {fc[ci]} != 2); not a plane embedding"
-                )
-    return FaceData(faces, boundary, tuple(frozenset(s) for s in inc))
+    return FaceData(faces, boundary, tuple(map(frozenset, inc)))
 
 
-def _component_index(m: PlaneMultigraph) -> list[int]:
-    """Index of each vertex's connected component, in the order of
-    m.underlying.components()."""
-    comp_of = [0] * m.n
-    for ci, comp in enumerate(m.underlying.components()):
-        for v in comp:
-            comp_of[v] = ci
-    return comp_of
+def _check_euler(m: PlaneMultigraph) -> None:
+    """Raise unless n - m + f = 2 on every component with an edge."""
+    comp_of = m._component_of
+    ncomp = max(comp_of, default=-1) + 1
+    nc, mc, fc = [0] * ncomp, [0] * ncomp, [0] * ncomp
+    for v in range(m.n):
+        nc[comp_of[v]] += 1
+    for u, _ in m.edges:
+        mc[comp_of[u]] += 1
+    for cyc in m._orbits:
+        fc[comp_of[m.vertex_of(cyc[0])]] += 1
+    for ci in range(ncomp):
+        # an isolated vertex has no orbit and is exempt
+        if mc[ci] and nc[ci] - mc[ci] + fc[ci] != 2:
+            raise MapError(
+                f"component {ci}: Euler identity fails "
+                f"({nc[ci]} - {mc[ci]} + {fc[ci]} != 2); not a plane embedding"
+            )
 
 
 def boundary_walk_vertices(m: PlaneMultigraph, cyc: Sequence[int]) -> list[int]:
@@ -300,7 +337,8 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         raw_rot = data["rotation"]
     except (KeyError, TypeError) as exc:
         raise MapError(f"malformed map JSON: {exc}") from exc
-    if not isinstance(n, int):
+    # type(), not isinstance, here and below: bool is an int subclass
+    if type(n) is not int:
         raise MapError("n must be an integer")
     if not isinstance(raw_edges, list) or not isinstance(raw_rot, dict):
         raise MapError("edges must be a list and rotation an object")
@@ -311,7 +349,7 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
             u, v = item["ends"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MapError(f"malformed edge entry {item!r}") from exc
-        if not isinstance(e, int) or not (0 <= e < len(raw_edges)) or edges[e] is not None:
+        if type(e) is not int or not (0 <= e < len(raw_edges)) or edges[e] is not None:
             raise MapError(f"bad edge id {e!r}")
         edges[e] = (u, v)
     rotation = [raw_rot.get(str(v), []) for v in range(n)]
@@ -321,7 +359,7 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         raise MapError("edge ends and dart ids must be integers")
     rotation = tuple(map(tuple, rotation))
     pm = PlaneMultigraph(n, tuple(edges), rotation)
-    trace_faces(pm)  # Euler validation
+    _check_euler(pm)
     return pm
 
 
@@ -348,25 +386,27 @@ class _MapBuilder:
     convention: new ones are allocated in pairs, so d's twin is d ^ 1.
     Regions track which orbits (and isolated vertices) bound the same
     geometric face, which is what survives edge deletions that
-    disconnect the graph.
+    disconnect the graph.  region_darts indexes each region's darts by
+    the vertex they leave, so its keys are the region's boundary
+    vertices other than isolated ones; _set_region keeps it in step with
+    region_of.
     """
 
     def __init__(self, m: PlaneMultigraph):
         self.source = m
         self.alive = set(range(m.n))
         self.rot = {v: list(m.rotation[v]) for v in range(m.n)}
-        self.vert = {}  # live dart -> the vertex it leaves
-        for e, (u, v) in enumerate(m.edges):
-            self.vert[2 * e] = u
-            self.vert[2 * e + 1] = v
+        self.vert = dict(enumerate(m._tail))  # live dart -> the vertex it leaves
         self.next_dart_id = 2 * m.m
         self.region_of = {}
+        self.region_darts = {}
         self.region_iso = {}
-        for rid, (darts, iso) in enumerate(m.effective_regions()):
+        self.next_region = 0
+        for darts, iso in m.effective_regions():
+            rid = self._new_region()
+            self.region_iso[rid].update(iso)
             for d in darts:
-                self.region_of[d] = rid
-            self.region_iso[rid] = set(iso)
-        self.next_region = len(m.effective_regions())
+                self._set_region(d, rid)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -413,28 +453,60 @@ class _MapBuilder:
         self.vert[b] = w
         return a, b
 
-    def _merge_regions(self, keep: int, drop: int) -> None:
-        if keep == drop:
-            return
-        for d, r in list(self.region_of.items()):
-            if r == drop:
-                self.region_of[d] = keep
+    def _new_region(self) -> int:
+        rid = self.next_region
+        self.next_region += 1
+        self.region_darts[rid] = {}
+        self.region_iso[rid] = set()
+        return rid
+
+    def _set_region(self, d: int, rid: Optional[int]) -> None:
+        """Move live dart d into region rid, or out of every region when
+        rid is None.  Every change of region_of goes through here."""
+        v = self.vert[d]
+        old = self.region_of.pop(d, None)
+        if old is not None:
+            at = self.region_darts[old][v]
+            at.discard(d)
+            if not at:
+                del self.region_darts[old][v]
+        if rid is not None:
+            self.region_of[d] = rid
+            at = self.region_darts[rid].get(v)
+            if at is None:
+                self.region_darts[rid][v] = {d}
+            else:
+                at.add(d)
+
+    def region_vertex_set(self, rid: int) -> frozenset[int]:
+        return frozenset(self.region_darts[rid]) | self.region_iso[rid]
+
+    def _merge_regions(self, r1: int, r2: int) -> int:
+        """Join two regions into one; returns the id that survives.  The
+        region on fewer vertices is dropped, so its darts are the ones
+        that move (region ids never reach a snapshot)."""
+        if r1 == r2:
+            return r1
+        keep, drop = r1, r2
+        if len(self.region_darts[r1]) < len(self.region_darts[r2]):
+            keep, drop = r2, r1
+        for d in list(chain.from_iterable(self.region_darts[drop].values())):
+            self._set_region(d, keep)
+        del self.region_darts[drop]
         self.region_iso[keep] |= self.region_iso.pop(drop)
+        return keep
 
     # -- mutations -----------------------------------------------------------
 
     def delete_edge_by_dart(self, d: int) -> None:
         t = d ^ 1
-        r1 = self.region_of[d]
-        r2 = self.region_of[t]
-        if r1 != r2:
-            self._merge_regions(r1, r2)
+        rid = self._merge_regions(self.region_of[d], self.region_of[t])
         for x in (d, t):
             v = self.vert[x]
             self.rot[v].remove(x)
             if not self.rot[v]:
-                self.region_iso[r1].add(v)
-            del self.region_of[x]
+                self.region_iso[rid].add(v)
+            self._set_region(x, None)
         del self.vert[d], self.vert[t]
 
     def delete_small_vertex(self, v: int) -> None:
@@ -465,9 +537,7 @@ class _MapBuilder:
                 f"vertex {v} is incident with a parallel pair; annihilation "
                 "would create a loop"
             )
-        new_region = self.next_region
-        self.next_region += 1
-        self.region_iso[new_region] = set()
+        new_region = self._new_region()
         a = [None] * deg
         b = [None] * deg
         for i in range(deg):
@@ -477,10 +547,10 @@ class _MapBuilder:
             rot = self.rot[nbrs[j]]
             pos = rot.index(t_j)
             rot[pos:pos + 1] = [a[j], b[(j - 1) % deg]]
-            self.region_of[a[j]] = self.region_of[t_j]
-            self.region_of[b[(j - 1) % deg]] = new_region
-            del self.region_of[t_j]
-            del self.region_of[rv[j]]
+            self._set_region(a[j], self.region_of[t_j])
+            self._set_region(b[(j - 1) % deg], new_region)
+            self._set_region(t_j, None)
+            self._set_region(rv[j], None)
             del self.vert[rv[j]], self.vert[t_j]
         del self.rot[v]
         self.alive.discard(v)
@@ -493,7 +563,7 @@ class _MapBuilder:
 
     def _region_pieces(self, rid: int) -> list[tuple[int, int]]:
         """Boundary pieces of a region: (sort key, anchor vertex)."""
-        darts = sorted(d for d, r in self.region_of.items() if r == rid)
+        darts = sorted(chain.from_iterable(self.region_darts[rid].values()))
         pieces = []
         seen = set()
         for d in darts:
@@ -516,17 +586,15 @@ class _MapBuilder:
                 self.rot[v] = [nd]
                 self.region_iso[rid].discard(v)
             else:
-                anchor = min(
-                    d for d in self.rot[v] if self.region_of.get(d) == rid
-                )
-                self._insert_before(v, anchor, nd)
-        self.region_of[nu] = rid
-        self.region_of[nw] = rid
+                self._insert_before(v, min(self.region_darts[rid][v]), nd)
+        self._set_region(nu, rid)
+        self._set_region(nw, rid)
 
-    def add_corner_edge(self, x: int, y: int) -> None:
+    def add_corner_edge(self, x: int, y: int) -> tuple[int, int]:
         """Add an edge cutting the corner (x, y) off its face: the face
         splits into the triangle (x, y, new) and a remainder with the
-        same vertex set."""
+        same vertex set.  Returns the new edge's dart that stays in the
+        remainder and the triangle's region."""
         if self.succ(x) != y:
             raise MapError("darts do not form a corner")
         u = self.vert[x]
@@ -535,12 +603,11 @@ class _MapBuilder:
         n1, n2 = self._new_darts(u, w)
         self._insert_before(u, x, n1)
         self._insert_after(w, y ^ 1, n2)
-        new_region = self.next_region
-        self.next_region += 1
-        self.region_iso[new_region] = set()
+        new_region = self._new_region()
         for d in (x, y, n2):
-            self.region_of[d] = new_region
-        self.region_of[n1] = rid
+            self._set_region(d, new_region)
+        self._set_region(n1, rid)
+        return n1, new_region
 
     def expand_edge_to_digon(self, d: int) -> None:
         """Add an edge parallel to d's edge bounding a digon with it."""
@@ -549,25 +616,25 @@ class _MapBuilder:
         d2, t2 = self._new_darts(u, w)
         self._insert_before(u, d, d2)
         self._insert_after(w, t, t2)
-        new_region = self.next_region
-        self.next_region += 1
-        self.region_iso[new_region] = set()
-        self.region_of[d2] = self.region_of[d]
-        self.region_of[d] = new_region
-        self.region_of[t2] = new_region
+        new_region = self._new_region()
+        self._set_region(d2, self.region_of[d])
+        self._set_region(d, new_region)
+        self._set_region(t2, new_region)
 
     # -- block structure ------------------------------------------------------
 
-    def blocks(self) -> tuple[list[frozenset[int]], set[int]]:
-        """Biconnected components (vertex sets) and cut vertices of the
-        multigraph; parallel edges count separately, so a doubled edge
-        forms a 2-connected block."""
+    def blocks(self) -> tuple[dict[int, int], set[int]]:
+        """Biconnected components and cut vertices of the multigraph, by
+        Hopcroft and Tarjan's depth-first search: the block index of each
+        edge (keyed by dart // 2) and the set of cut vertices.  Parallel
+        edges count separately, so a doubled edge forms a 2-connected
+        block."""
         disc = {}
         low = {}
-        edge_stack = []
-        blocks = []
+        dart_stack = []
+        block_of = {}
         cuts = set()
-        counter = [0]
+        counter = [0, 0]  # next discovery time, next block index
 
         def dfs(root):
             root_children = 0
@@ -585,7 +652,7 @@ class _MapBuilder:
                     if d == in_dart:
                         continue
                     if u not in disc:
-                        edge_stack.append((v, u))
+                        dart_stack.append(d)
                         disc[u] = low[u] = counter[0]
                         counter[0] += 1
                         todo.append((v, in_dart, idx))
@@ -593,7 +660,7 @@ class _MapBuilder:
                         advanced = True
                         break
                     if disc[u] < disc[v]:
-                        edge_stack.append((v, u))
+                        dart_stack.append(d)
                         low[v] = min(low[v], disc[u])
                 if advanced:
                     continue
@@ -603,13 +670,12 @@ class _MapBuilder:
                     if low[v] >= disc[p]:
                         if p == root:
                             root_children += 1
-                        verts = set()
-                        while edge_stack:
-                            a, c = edge_stack.pop()
-                            verts.update((a, c))
-                            if (a, c) == (p, v):
+                        while True:
+                            d = dart_stack.pop()
+                            block_of[d >> 1] = counter[1]
+                            if d == in_dart ^ 1:
                                 break
-                        blocks.append(frozenset(verts))
+                        counter[1] += 1
                         if p != root:
                             cuts.add(p)
             return root_children
@@ -618,7 +684,7 @@ class _MapBuilder:
             if root not in disc:
                 if dfs(root) >= 2:
                     cuts.add(root)
-        return blocks, cuts
+        return block_of, cuts
 
     # -- snapshot --------------------------------------------------------------
 
@@ -636,16 +702,13 @@ class _MapBuilder:
         rotation = tuple(
             tuple(dmap[d] for d in self.rot[v]) for v in verts
         )
-        per_region = {}
-        for d, r in self.region_of.items():
-            per_region.setdefault(r, (set(), set()))[0].add(dmap[d])
-        for r, iso in self.region_iso.items():
-            if iso or r in per_region:
-                per_region.setdefault(r, (set(), set()))[1].update(
-                    vmap[v] for v in iso
-                )
         regions = tuple(sorted(
-            ((frozenset(ds), frozenset(iso)) for ds, iso in per_region.values()),
+            (
+                (frozenset(dmap[d] for d in chain.from_iterable(at.values())),
+                 frozenset(vmap[v] for v in self.region_iso[r]))
+                for r, at in self.region_darts.items()
+                if at or self.region_iso[r]
+            ),
             key=lambda r: (min(r[0]) if r[0] else 2 * len(edges) + min(r[1], default=0)),
         ))
         if self.source.labels is not None:
@@ -673,7 +736,7 @@ def annihilate(m: PlaneMultigraph, v: int) -> PlaneMultigraph:
     b = _MapBuilder(m)
     b.annihilate(v)
     out = b.snapshot()
-    trace_faces(out)
+    _check_euler(out)
     return out
 
 
@@ -737,7 +800,7 @@ def digon_expand(m: PlaneMultigraph) -> PlaneMultigraph:
     for e in range(m.m):
         b.expand_edge_to_digon(2 * e)
     out = b.snapshot()
-    trace_faces(out)
+    _check_euler(out)
     return out
 
 
@@ -785,7 +848,7 @@ def decompose_claim1(
                 b.annihilate(v)
         piece = b.snapshot()
         if piece.m:
-            trace_faces(piece)
+            _check_euler(piece)
         if check:
             face_sets = {piece.relabel_to_parent(s) for s in piece.face_vertex_sets()}
             for x in range(m.n):
@@ -813,6 +876,77 @@ def is_two_connected(m: PlaneMultigraph) -> bool:
     return not cuts
 
 
+class _EndBlocks:
+    """Blocks of a connected builder, kept current while corner edges
+    merge end blocks into their neighbors.
+
+    The blocks are computed once; a union-find over their indices then
+    follows the merges.  For each block and each of its cut vertices t,
+    ends holds the block's darts at t whose rotation successor lies in
+    another block; t is a cut vertex of the block exactly when there is
+    one.  Merging end block B with block C at their cut vertex v changes
+    no other block, and the new edge changes the rotations only at its
+    ends.  Two blocks share at most one vertex, so their two smallest
+    vertices order them as their sorted vertex tuples do."""
+
+    def __init__(self, b: _MapBuilder):
+        self.b = b
+        self.edge_block, cuts = b.blocks()
+        verts = [set() for _ in range(len(set(self.edge_block.values())))]
+        for d, v in b.vert.items():
+            verts[self.edge_block[d >> 1]].add(v)
+        self.parent = list(range(len(verts)))
+        self.key = [tuple(sorted(vs)[:2]) for vs in verts]
+        self.ends = [{} for _ in verts]
+        for t in cuts:
+            rot = b.rot[t]
+            for a, y in zip(rot, rot[1:] + rot[:1]):
+                i = self.edge_block[a >> 1]
+                if i != self.edge_block[y >> 1]:
+                    self.ends[i].setdefault(t, set()).add(a)
+        self.heap = [(self.key[i], i) for i, e in enumerate(self.ends) if len(e) == 1]
+        heapify(self.heap)
+
+    def block_of(self, d: int) -> int:
+        i = self.edge_block[d >> 1]
+        while self.parent[i] != i:
+            self.parent[i] = i = self.parent[self.parent[i]]
+        return i
+
+    def next_end(self) -> Optional[tuple[int, int, set[int]]]:
+        """The end block with the smallest sorted vertex tuple, its cut
+        vertex v and its darts at v followed by another block's, or None
+        when the graph is 2-connected."""
+        while self.heap:
+            key, i = heappop(self.heap)
+            if self.parent[i] == i and key == self.key[i] and len(self.ends[i]) == 1:
+                (v, darts), = self.ends[i].items()
+                return i, v, darts
+        return None
+
+    def merge(self, i: int, j: int, v: int, y: int, d: int) -> None:
+        """Join blocks i and j at v after a corner edge from i's side of
+        the corner at y: its dart d leaves i, and d ^ 1 follows y ^ 1."""
+        if len(self.ends[i]) < len(self.ends[j]):
+            i, j = j, i
+        self.parent[j] = i
+        self.edge_block[d >> 1] = i
+        self.key[i] = tuple(sorted(set(self.key[i] + self.key[j]))[:2])
+        ends = self.ends[i]
+        at_v = ends.pop(v) | self.ends[j].pop(v)
+        ends.update(self.ends[j])  # v is the only vertex both blocks have
+        self.ends[j] = {}
+        at_v = {a for a in at_v if self.block_of(self.b.succ(a ^ 1)) != i}
+        if at_v:
+            ends[v] = at_v
+        at_w = ends.get(self.b.vert[y ^ 1], ())
+        if y ^ 1 in at_w:
+            at_w.remove(y ^ 1)
+            at_w.add(d ^ 1)
+        if len(ends) == 1:
+            heappush(self.heap, (self.key[i], i))
+
+
 def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     """Add edges until the map is 2-connected, preserving every face's
     vertex set.
@@ -825,16 +959,29 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     if m.n < 3:
         raise MapError("augmentation needs at least three vertices")
     b = _MapBuilder(m)
+    # every region's vertex set, and how many regions have each set: an
+    # added edge must leave every set some region had before it
+    face_set = {rid: b.region_vertex_set(rid) for rid in b.region_darts}
+    face_sets = Counter(s for s in face_set.values() if s)
 
-    def region_face_sets():
-        out = []
-        for rid in set(b.region_of.values()) | set(b.region_iso):
-            darts = [d for d, r in b.region_of.items() if r == rid]
-            iso = b.region_iso.get(rid, set())
-            if not darts and not iso:
+    def check_faces(rids, verts, what):
+        """Recount the regions the new edge touched; their vertex sets can
+        change only at verts."""
+        lost = []
+        for rid in rids:
+            old = face_set.get(rid, frozenset())
+            if all((z in old) == (z in b.region_darts[rid] or z in b.region_iso[rid])
+                   for z in verts):
                 continue
-            out.append(frozenset(b.vert[d] for d in darts) | frozenset(iso))
-        return out
+            face_set[rid] = new = b.region_vertex_set(rid)
+            if old:
+                face_sets[old] -= 1
+                lost.append(old)
+            if new:
+                face_sets[new] += 1
+        for s in lost:
+            if not face_sets[s]:
+                raise AssertionError(f"{what} lost face boundary {sorted(s)}")
 
     while len(b.components()) > 1:
         comp_of = {}
@@ -842,9 +989,7 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
             for v in comp:
                 comp_of[v] = ci
         candidates = []
-        for rid in sorted(
-            set(b.region_of.values()) | {r for r, iso in b.region_iso.items() if iso}
-        ):
+        for rid in sorted(r for r, at in b.region_darts.items() if at or b.region_iso[r]):
             pieces = b._region_pieces(rid)
             if len({comp_of[anchor] for _, anchor in pieces}) >= 2:
                 candidates.append((min(key for key, _ in pieces), rid, pieces))
@@ -856,55 +1001,35 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
         w = next(
             anchor for _, anchor in pieces[1:] if comp_of[anchor] != comp_of[u]
         )
-        before_sets = region_face_sets()
         b.add_edge_in_region(rid, u, w)
-        after_sets = region_face_sets()
-        for s in before_sets:
-            if s and s not in after_sets:
-                raise AssertionError(f"bridge lost face boundary {sorted(s)}")
+        check_faces((rid,), (u, w), "bridge")
 
-    while True:
-        blocks, cuts = b.blocks()
-        if not cuts:
-            break
-        end_blocks = sorted(
-            (B for B in blocks if len(B & cuts) == 1),
-            key=lambda B: tuple(sorted(B)),
-        )
-        block = end_blocks[0]
-        v = next(iter(block & cuts))
-        before_sets = region_face_sets()
-        corner = None
-        seen = set()
-        for d0 in sorted(b.vert):
-            if d0 in seen:
-                continue
-            cyc = b.orbit(d0)
-            start = cyc.index(min(cyc))
-            cyc = cyc[start:] + cyc[:start]
-            seen.update(cyc)
-            for j, y in enumerate(cyc):
-                if b.vert[y] != v:
-                    continue
-                x = cyc[j - 1]
-                u = b.vert[x]
-                w = b.vert[y ^ 1]
-                if u in block and u != v and w not in block:
-                    corner = (x, y)
-                    break
-            if corner:
-                break
-        if corner is None:
-            raise MapError(f"no corner found to merge end-block at cut vertex {v}")
-        b.add_corner_edge(*corner)
-        after_sets = region_face_sets()
-        for s in before_sets:
-            if s not in after_sets:
-                raise AssertionError(f"corner edge lost face boundary {sorted(s)}")
+    blocks = _EndBlocks(b)
+    while (end := blocks.next_end()) is not None:
+        block, v, darts = end
+        # the corners (x, y) at v where x arrives from the end block and
+        # y leaves it; of several, take the one that a scan of the
+        # orbits from their smallest darts meets first
+        corners = [(a ^ 1, b.succ(a ^ 1)) for a in darts]
+        if len(corners) > 1:
+            corners.sort(key=lambda c: _corner_rank(b, c[1]))
+        x, y = corners[0]
+        rid = b.region_of[x]
+        other = blocks.block_of(y)
+        d, triangle = b.add_corner_edge(x, y)
+        blocks.merge(block, other, v, y, d)
+        check_faces((rid, triangle), (b.vert[x], v, b.vert[y ^ 1]), "corner edge")
 
     out = b.snapshot()
-    trace_faces(out)
+    _check_euler(out)
     return out
+
+
+def _corner_rank(b: _MapBuilder, y: int) -> tuple[int, int]:
+    """The smallest dart of y's orbit, then y's position after it."""
+    cyc = b.orbit(y)
+    first = min(cyc)
+    return first, -cyc.index(first) % len(cyc)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,21 @@ def _end_as_float(data):
     return data
 
 
+def _n_as_bool(data):
+    # a one-vertex map would load with n = 1
+    return {"n": True, "edges": [], "rotation": {}}
+
+
+def _edge_id_as_bool(data):
+    data["edges"][1]["id"] = True
+    return data
+
+
 @pytest.mark.parametrize("corrupt", [
     _edges_without_id, _dart_out_of_range, _n_as_string, _n_as_float,
     _rotation_as_list, _rotation_entry_as_int, _dart_as_string,
-    _edge_id_as_string, _ends_as_strings, _end_as_float,
+    _edge_id_as_string, _ends_as_strings, _end_as_float, _n_as_bool,
+    _edge_id_as_bool,
 ])
 def test_malformed_map_exits_2(tmp_path, capsys, corrupt):
     mpath = tmp_path / "bad.json"
@@ -183,15 +194,27 @@ def test_malformed_graph_and_coloring_exit_2(tmp_path, capsys):
     truncated.write_text(gpath.read_text()[:-5])
     assert main(["solve", "--graph", str(truncated)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    null_edges = tmp_path / "null_edges.json"
-    null_edges.write_text(json.dumps({"n": 4, "edges": None}))
-    assert main(["solve", "--graph", str(null_edges)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    bad_graph = tmp_path / "bad_graph.json"
+    for bad in ({"n": 4, "edges": None}, {"n": True, "edges": []},
+                {"n": 3, "edges": [[0, True]]}):
+        bad_graph.write_text(json.dumps(bad))
+        assert main(["solve", "--graph", str(bad_graph)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
     cpath = tmp_path / "col.json"
-    for bad in ({"colors": [0, 1, "2", 3]}, {"colors": None}):
+    for bad in ({"colors": [0, 1, "2", 3]}, {"colors": None},
+                {"colors": [True, False, True, False]}):
         cpath.write_text(json.dumps(bad))
         assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("action", ["claim1", "pipeline"])
+def test_plane_action_without_coloring_exits_2(tmp_path, capsys, action):
+    mpath = tmp_path / "c4map.json"
+    save_map(embed_cycle(4), mpath)
+    assert main(["plane", action, "--map", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--coloring" in err
 
 
 def test_gen_unknown_gallery_name_exits_2(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from strongodd.planemaps import (
     strong_odd_via_planar_detailed,
     trace_faces,
 )
-from strongodd.randgen import random_planar_map, random_triangulation
+from strongodd.randgen import random_planar_map, random_tree, random_triangulation
 from strongodd.solver import Budget, chi_exact
 
 from map_fixtures import (
@@ -248,6 +249,56 @@ def test_claim2_connects_isolated_vertices():
     pm = PlaneMultigraph(4, ((0, 1),), ((0,), (1,), (), ()))
     aug = augment_claim2(pm)
     assert is_two_connected(aug)
+
+
+def _first_fit(g):
+    col = [-1] * g.n
+    for v in sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)):
+        used = {col[u] for u in g.adj[v]}
+        col[v] = min(c for c in range(g.n + 1) if c not in used)
+    return Coloring(tuple(col))
+
+
+def _map_key(pm):
+    regions = None if pm.regions is None else tuple(
+        (tuple(sorted(ds)), tuple(sorted(iso))) for ds, iso in pm.regions
+    )
+    return (pm.n, pm.edges, pm.rotation, regions, pm.labels)
+
+
+def test_plane_map_outputs_are_pinned():
+    # recorded before the plane-map layer moved to linear bookkeeping;
+    # the faster layer must return the same maps and augmentation edges
+    h = hashlib.sha256()
+
+    def pin(x):
+        h.update(repr(x).encode())
+
+    rng = random.Random(17)
+    for i in range(40):
+        pm = random_planar_map(rng.randint(8, 60), rng,
+                               delete_fraction=rng.choice([0.0, 0.25, 0.45]))
+        pin(trace_faces(pm).faces)
+        for v in rng.sample(range(pm.n), 2):
+            if pm.degree(v) >= 2:
+                pin(_map_key(annihilate(pm, v)))
+        pin(_map_key(digon_expand(pm)))
+        phi = _first_fit(pm.underlying)
+        for piece in decompose_claim1(pm, phi):
+            pin(_map_key(piece))
+            if piece.n >= 3:
+                pin(_map_key(augment_claim2(piece)))
+        if i % 4 == 0:
+            res = strong_odd_via_planar_detailed(pm, phi, Budget(max_nodes=2000))
+            pin(res.coloring.colors)
+    rng = random.Random(18)
+    for _ in range(20):
+        t = random_tree(rng.randint(3, 60), rng)
+        pm = from_neighbor_rotations([sorted(t.adj[v]) for v in range(t.n)])
+        pin(_map_key(augment_claim2(pm)))
+    for n in (*range(3, 12), 40, 100):
+        pin(_map_key(augment_claim2(embed_path(n))))
+    assert h.hexdigest()[:16] == "8a278525162f2ba2"
 
 
 # ---------------------------------------------------------------------------
