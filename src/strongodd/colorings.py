@@ -70,17 +70,25 @@ def neighborhood_histogram(g: Graph, phi: Coloring, v: int) -> dict[int, int]:
     return color_counts(phi.colors, g.adj[v])
 
 
+def _same_colored(g: Graph, colors: Sequence[int]) -> dict[int, int]:
+    """Per vertex with a same-colored neighbor, how many it has: one
+    pass over the edges."""
+    same: dict[int, int] = {}
+    for u, v in g.edges:
+        if colors[u] == colors[v]:
+            same[u] = same.get(u, 0) + 1
+            same[v] = same.get(v, 0) + 1
+    return same
+
+
+def _proper_violations(colors: Sequence[int], same: dict[int, int]) -> list[Violation]:
+    return [Violation(NOT_PROPER, v, colors[v], same[v]) for v in sorted(same)]
+
+
 def is_proper(g: Graph, phi: Coloring) -> list[Violation]:
     """Empty iff no edge joins two vertices of the same color."""
     _check_length(g, phi)
-    colors = phi.colors
-    out = []
-    for v in range(g.n):
-        c = colors[v]
-        same = sum(1 for u in g.adj[v] if colors[u] == c)
-        if same:
-            out.append(Violation(NOT_PROPER, v, c, same))
-    return out
+    return _proper_violations(phi.colors, _same_colored(g, phi.colors))
 
 
 def is_strong_odd(g: Graph, phi: Coloring) -> list[Violation]:
@@ -89,14 +97,16 @@ def is_strong_odd(g: Graph, phi: Coloring) -> list[Violation]:
     _check_length(g, phi)
     colors = phi.colors
     out, even = [], []
-    for v in range(g.n):
+    for v, nbrs in enumerate(g.adj):
+        counts = color_counts(colors, nbrs)
         c = colors[v]
-        counts = color_counts(colors, g.adj[v])
         if c in counts:
             out.append(Violation(NOT_PROPER, v, c, counts[c]))
-        for col, cnt in sorted(counts.items()):
-            if cnt % 2 == 0:
-                even.append(Violation(EVEN_COLOR, v, col, cnt))
+        for cnt in counts.values():  # sort only a histogram with an even count
+            if not cnt & 1:
+                even.extend(Violation(EVEN_COLOR, v, col, k)
+                            for col, k in sorted(counts.items()) if not k & 1)
+                break
     return out + even
 
 
@@ -106,30 +116,56 @@ def is_odd(g: Graph, phi: Coloring) -> list[Violation]:
     _check_length(g, phi)
     colors = phi.colors
     out, no_odd = [], []
-    for v in range(g.n):
+    for v, nbrs in enumerate(g.adj):
+        counts = color_counts(colors, nbrs)
         c = colors[v]
-        counts = color_counts(colors, g.adj[v])
         if c in counts:
             out.append(Violation(NOT_PROPER, v, c, counts[c]))
-        if counts and all(cnt % 2 == 0 for cnt in counts.values()):
-            no_odd.append(Violation(NO_ODD_COLOR, v))
+        if counts:
+            for cnt in counts.values():
+                if cnt & 1:
+                    break
+            else:
+                no_odd.append(Violation(NO_ODD_COLOR, v))
     return out + no_odd
 
 
 def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
     """Proper on the square of g.  Distance-2 conflicts are reported with
-    their own kind so they are distinguishable from plain edge conflicts."""
-    out = is_proper(g, phi)
+    their own kind so they are distinguishable from plain edge conflicts.
+
+    A vertex's clashes are the color-c(v) groups among its neighbors'
+    neighborhoods, minus v and N(v); each such group holds v, so only
+    groups of two or more are built, once per vertex.  When v lies in
+    one group and has no same-colored neighbor, its count is the group's
+    size less one, with no set built.
+    """
+    _check_length(g, phi)
     colors = phi.colors
-    for v in range(g.n):
-        c = colors[v]
-        nbrs = g.adj[v]
-        far = {w for u in nbrs for w in g.adj[u] if colors[w] == c}
-        far.discard(v)
-        clash = len(far - nbrs)
-        if clash:
-            out.append(Violation(DISTANCE2_CLASH, v, c, clash))
-    return out
+    same = _same_colored(g, colors)
+    groups_of: dict[int, list[list[int]]] = {}
+    for nbrs in g.adj:
+        if len(nbrs) < 2 or len(set(map(colors.__getitem__, nbrs))) == len(nbrs):
+            continue
+        by_color: dict[int, list[int]] = {}
+        for w in nbrs:
+            by_color.setdefault(colors[w], []).append(w)
+        for members in by_color.values():
+            if len(members) > 1:
+                for w in members:
+                    groups_of.setdefault(w, []).append(members)
+    clash = []
+    for v in sorted(groups_of):
+        groups = groups_of[v]
+        if len(groups) == 1 and v not in same:
+            cnt = len(groups[0]) - 1
+        else:
+            far = set().union(*groups)
+            far.discard(v)
+            cnt = len(far - g.adj[v])
+        if cnt:
+            clash.append(Violation(DISTANCE2_CLASH, v, colors[v], cnt))
+    return _proper_violations(colors, same) + clash
 
 
 def coloring_to_json_dict(phi: Coloring) -> dict:

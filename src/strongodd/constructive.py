@@ -42,32 +42,30 @@ class RootedTreePlan:
     bfs_order: tuple[int, ...]
 
 
-def _require_tree(t: Graph) -> None:
-    if t.m != t.n - 1 or not t.is_connected():
-        raise ConstructionError("input is not a tree")
-
-
 def plan_rooted_tree(t: Graph, root: int = 0) -> RootedTreePlan:
-    _require_tree(t)
+    """Breadth-first from root, neighbors in increasing order.  The walk
+    is also the tree check: n - 1 edges and every vertex reached."""
+    if t.m != t.n - 1:
+        raise ConstructionError("input is not a tree")
+    adj = t.adj
     parent = [-1] * t.n
-    order = []
     seen = [False] * t.n
-    queue = deque([root])
     seen[root] = True
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for u in sorted(t.adj[v]):
+    order = [root]
+    for v in order:  # the list is the queue: it grows while it is read
+        for u in sorted(adj[v]):
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
-                queue.append(u)
+                order.append(u)
+    if len(order) != t.n:
+        raise ConstructionError("input is not a tree")
     return RootedTreePlan(root, tuple(parent), tuple(order))
 
 
 def is_odd_tree(t: Graph) -> bool:
     """True iff every vertex degree is odd."""
-    _require_tree(t)
+    plan_rooted_tree(t)  # raises ConstructionError unless t is a tree
     return all(t.degree(v) % 2 == 1 for v in range(t.n))
 
 
@@ -77,19 +75,19 @@ def _color_below_root_children(
 ) -> None:
     """Color the children of each vertex of order, parents first.  The
     palette at v is 0..3 without avoid[v].  An even set of children
-    copies the parent's color; an odd set sends one child to the palette
-    color missing from vertex and parent, and the rest copy the parent's."""
+    copies the parent's color; an odd set sends its smallest child to the
+    palette color missing from vertex and parent, and the rest copy the
+    parent's."""
     for v in order:
-        children = [u for u in sorted(adj[v]) if parent[u] == v]
+        children = [u for u in adj[v] if parent[u] == v]
         log.tick()
         if not children:
             continue
         pc = colors[parent[v]]
-        odd = len(children) % 2
-        if odd:
-            colors[children[0]] = min({0, 1, 2, 3} - {avoid[v], colors[v], pc})
-        for u in children[odd:]:
+        for u in children:
             colors[u] = pc
+        if len(children) % 2:
+            colors[min(children)] = min({0, 1, 2, 3} - {avoid[v], colors[v], pc})
         log.tick(len(children))
 
 

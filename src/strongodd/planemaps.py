@@ -389,7 +389,8 @@ class _MapBuilder:
     disconnect the graph.  region_darts indexes each region's darts by
     the vertex they leave, so its keys are the region's boundary
     vertices other than isolated ones; _set_region keeps it in step with
-    region_of.
+    region_of.  iso_of maps each isolated vertex to the isolated set
+    that holds it, so a deletion finds its one region.
     """
 
     def __init__(self, m: PlaneMultigraph):
@@ -401,10 +402,12 @@ class _MapBuilder:
         self.region_of = {}
         self.region_darts = {}
         self.region_iso = {}
+        self.iso_of = {}
         self.next_region = 0
         for darts, iso in m.effective_regions():
             rid = self._new_region()
-            self.region_iso[rid].update(iso)
+            for v in iso:
+                self._add_isolated(v, rid)
             for d in darts:
                 self._set_region(d, rid)
 
@@ -478,6 +481,14 @@ class _MapBuilder:
             else:
                 at.add(d)
 
+    def _add_isolated(self, v: int, rid: int) -> None:
+        iso = self.region_iso[rid]
+        iso.add(v)
+        self.iso_of[v] = iso
+
+    def _drop_isolated(self, v: int) -> None:
+        self.iso_of.pop(v).discard(v)
+
     def region_vertex_set(self, rid: int) -> frozenset[int]:
         return frozenset(self.region_darts[rid]) | self.region_iso[rid]
 
@@ -493,7 +504,12 @@ class _MapBuilder:
         for d in list(chain.from_iterable(self.region_darts[drop].values())):
             self._set_region(d, keep)
         del self.region_darts[drop]
-        self.region_iso[keep] |= self.region_iso.pop(drop)
+        # the smaller isolated set moves, so a vertex moves O(log n) times
+        iso, moved = self.region_iso[keep], self.region_iso.pop(drop)
+        if len(iso) < len(moved):
+            self.region_iso[keep], moved = moved, iso
+        for v in moved:
+            self._add_isolated(v, keep)
         return keep
 
     # -- mutations -----------------------------------------------------------
@@ -505,7 +521,7 @@ class _MapBuilder:
             v = self.vert[x]
             self.rot[v].remove(x)
             if not self.rot[v]:
-                self.region_iso[rid].add(v)
+                self._add_isolated(v, rid)
             self._set_region(x, None)
         del self.vert[d], self.vert[t]
 
@@ -515,8 +531,7 @@ class _MapBuilder:
             raise MapError(f"vertex {v} has degree {self.degree(v)} > 1")
         if self.rot[v]:
             self.delete_edge_by_dart(self.rot[v][0])
-        for iso in self.region_iso.values():
-            iso.discard(v)
+        self._drop_isolated(v)
         del self.rot[v]
         self.alive.discard(v)
 
@@ -584,7 +599,7 @@ class _MapBuilder:
         for v, nd in ((u, nu), (w, nw)):
             if not self.rot[v]:
                 self.rot[v] = [nd]
-                self.region_iso[rid].discard(v)
+                self._drop_isolated(v)
             else:
                 self._insert_before(v, min(self.region_darts[rid][v]), nd)
         self._set_region(nu, rid)

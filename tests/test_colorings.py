@@ -20,7 +20,7 @@ from strongodd.colorings import (
     is_strong_odd,
     neighborhood_histogram,
 )
-from strongodd.constructive import c5_box_c5_table
+from strongodd.constructive import c5_box_c5_table, color_tree
 from strongodd.graphs import (
     Graph,
     make_complete_bipartite,
@@ -30,6 +30,7 @@ from strongodd.graphs import (
     product,
     square,
 )
+from strongodd.randgen import random_graph, random_tree
 
 
 def test_proper_examples():
@@ -202,6 +203,78 @@ def test_verifiers_match_reference_definitions(gc):
     g, phi = gc
     for verifier, expected in _reference_violations(g, phi).items():
         assert verifier(g, phi) == expected
+
+
+def _differential_corpus(rng):
+    """Seeded instances past the hypothesis sizes: dense random graphs
+    on few colors (same-colored groups overlap through triangles), trees
+    colored by color_tree, complete bipartite K_{2,n} and grids (groups
+    overlap through 4-cycles), some with a few vertices recolored."""
+    for _ in range(150):
+        g = random_graph(rng.randint(0, 40), rng.choice([0.1, 0.3, 0.5, 0.7]), rng)
+        k = rng.randint(1, 4)
+        yield g, Coloring(tuple(rng.randrange(k) for _ in range(g.n)))
+    for _ in range(40):
+        t = random_tree(rng.randint(1, 40), rng)
+        colors = list(color_tree(t).colors)
+        for _ in range(rng.randint(0, 2)):
+            colors[rng.randrange(t.n)] = rng.randrange(3)
+        yield t, Coloring(tuple(colors))
+    for n in range(1, 12):
+        g = make_complete_bipartite(2, n)
+        for k in (1, 2, 3):
+            yield g, Coloring(tuple(rng.randrange(k) for _ in range(g.n)))
+    for a in range(2, 6):
+        for b in range(a, 7):
+            g = product(make_path(a), make_path(b), "cartesian")
+            for k in (2, 3, 4):
+                yield g, Coloring(tuple(rng.randrange(k) for _ in range(g.n)))
+
+
+def test_verifiers_match_reference_on_seeded_corpus():
+    rng = random.Random(2024)
+    for g, phi in _differential_corpus(rng):
+        for verifier, expected in _reference_violations(g, phi).items():
+            assert verifier(g, phi) == expected, (verifier.__name__, g, phi)
+
+
+def _clash_counts(g, phi):
+    return Counter(v.count for v in is_square_coloring(g, phi) if v.kind == DISTANCE2_CLASH)
+
+
+def test_square_clashes_on_stars():
+    for n in (2001, 2000):
+        star = make_star(n)
+        phi = color_tree(star)
+        assert [f(star, phi) for f in (is_proper, is_odd, is_strong_odd)] == [[], [], []]
+        # odd n: every leaf has color 1; even n: leaf 1 has color 2
+        same_leaves = n if n % 2 else n - 1
+        assert _clash_counts(star, phi) == {same_leaves - 1: same_leaves}
+    # one leaf on the center's color: an improper edge, and the center
+    # sees its n - 1 other leaves an even number of times
+    n = 2001
+    star = make_star(n)
+    phi = Coloring((0, 0) + (1,) * (n - 1))
+    assert is_proper(star, phi) == [Violation(NOT_PROPER, 0, 0, 1), Violation(NOT_PROPER, 1, 0, 1)]
+    assert len(is_odd(star, phi)) == 2
+    assert is_strong_odd(star, phi)[2:] == [Violation(EVEN_COLOR, 0, 1, n - 1)]
+    assert _clash_counts(star, phi) == {n - 2: n - 1}
+    # two leaves on the center's color: each has a same-colored neighbor
+    # and the other at distance two
+    phi = Coloring((0, 0, 0) + (1,) * (n - 2))
+    assert _clash_counts(star, phi) == {1: 2, n - 3: n - 2}
+    # an edge between leaves 1 and 2 of one color: each is at distance
+    # two from the n - 2 leaves other than itself and its neighbor
+    fan = Graph(n + 1, star.edges | {(1, 2)})
+    phi = Coloring((0,) + (1,) * n)
+    clashes = {v.vertex: v.count for v in is_square_coloring(fan, phi) if v.kind == DISTANCE2_CLASH}
+    assert clashes[1] == clashes[2] == n - 2
+    assert set(clashes.values()) == {n - 2, n - 1} and len(clashes) == n
+    small = Graph(8, make_star(7).edges | {(1, 2)})
+    for colors in [(0,) + (1,) * 7, (0, 0, 0) + (1,) * 5, (0, 0) + (1,) * 6]:
+        phi = Coloring(colors)
+        for verifier, expected in _reference_violations(small, phi).items():
+            assert verifier(small, phi) == expected
 
 
 def test_huge_color_ids_allocate_nothing_per_id():

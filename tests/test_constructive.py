@@ -135,9 +135,14 @@ def _cycle_with_trees(c, n, rng):
     """A c-cycle with random pendant trees on n vertices in all, under a
     random relabeling."""
     edges = [*make_cycle(c).edges, *((rng.randrange(v), v) for v in range(c, n))]
-    perm = list(range(n))
+    return _relabeled(Graph.from_edges(n, edges), rng)
+
+
+def _relabeled(t, rng):
+    """t under a random relabeling."""
+    perm = list(range(t.n))
     rng.shuffle(perm)
-    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return Graph.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges])
 
 
 def _leaf_per_vertex(c):
@@ -287,3 +292,28 @@ def test_nordhaus_gaddum_witnesses():
         assert is_strong_odd(complement(g), phi_c) == [] and phi_c.k == expected
     with pytest.raises(ConstructionError):
         nordhaus_gaddum(0, "H1")
+
+
+def test_color_tree_output_is_pinned():
+    # recorded from the earlier construction that checked connectivity
+    # with a separate traversal and re-sorted every adjacency while
+    # coloring; the one-BFS plan must match it
+    def corpus():
+        rng = random.Random(11)
+        for _ in range(300):
+            yield _relabeled(random_tree(rng.randint(1, 120), rng), rng)
+        for _ in range(100):
+            yield _relabeled(random_odd_tree(rng.randint(0, 40), rng), rng)
+        for k in [*range(1, 12), 100, 101]:
+            yield make_star(k)
+            yield _relabeled(make_star(k), rng)
+        for n in [*range(1, 12), 500, 501]:
+            yield make_path(n)
+            yield _relabeled(make_path(n), rng)
+
+    h = hashlib.sha256()
+    for t in corpus():
+        plan = plan_rooted_tree(t)
+        h.update(repr((plan.root, plan.parent, plan.bfs_order)).encode())
+        h.update(repr(color_tree(t).colors).encode())
+    assert h.hexdigest()[:16] == "e212917ea300f07f"
