@@ -346,7 +346,7 @@ def run_gallery(budget: solver.Budget) -> GalleryReport:
         "name": "K_{2,3}",
         "expected": {"chi_so": "<= 4", "chi_square": 5},
         "computed": {"chi_so": so, "chi_square": sq},
-        "pass": so <= 4 and sq == 5,
+        "pass": so is not None and so <= 4 and sq == 5,
     })
     return report
 
@@ -523,6 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("max_nodes", "max_time"):
+            if not getattr(args, name, 0) >= 0:  # also rejects nan
+                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,17 +43,32 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph, rejecting loops, duplicates and out-of-range ids."""
+        """Build a graph in one pass over the edges, rejecting entries
+        that are not two ints, loops, out-of-range ids and duplicates."""
+        if n < 0:
+            raise GraphError(f"vertex count must be nonnegative, got {n}")
         seen = set()
         for e in edges:
-            u, v = e
-            if u == v:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphError(f"malformed edge entry {e!r}") from None
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"malformed edge entry {e!r}")
+            if u > v:
+                u, v = v, u
+            elif u == v:
                 raise GraphError(f"loop at vertex {u}")
-            key = _normalize(u, v)
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-        return Graph(n, frozenset(seen))
+            if u < 0 or v >= n:
+                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+            if (u, v) in seen:
+                raise GraphError(f"duplicate edge {(u, v)}")
+            seen.add((u, v))
+        # every edge is checked above, so __post_init__'s pass is skipped
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", frozenset(seen))
+        return g
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -272,15 +287,7 @@ def from_json_dict(data: dict) -> Graph:
         raise GraphError("n must be an integer")
     if not isinstance(raw, list):
         raise GraphError("edges must be a list")
-    edges = []
-    for e in raw:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise GraphError(f"malformed edge entry {e!r}")
-        u, v = e
-        if type(u) is not int or type(v) is not int:
-            raise GraphError(f"malformed edge entry {e!r}")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, raw)
 
 
 def save_json(g: Graph, path) -> None:

@@ -20,35 +20,52 @@ search at some k is a proof that no k-coloring exists.
 
 Vertex sets and scope sets are Python ints used as bitsets (bit v is
 vertex v, bit s is scope s), and color sets are ints with bit c for
-color c.  The search state is:
+color c.  The search state is indexed by color only:
 
   blocked[c]   the vertices with a neighbor colored c;
-  used[s]      the colors present in scope s;
-  par[s]       the colors with an odd count in scope s;
   used_in[c]   the scopes in which c is present;
   odd_in[c]    the scopes in which c has an odd count;
   uncolored    the vertices not yet colored.
 
-Parity is an XOR toggle.  Rule (a) is the bit test ``blocked[c] >> v``.
-The colors with a positive even count in scope s are ``used[s] &
-~par[s]``: rule (b) asks that mask to be empty (ALL_ODD) or ``par[s]``
-to be nonzero (EXISTS_ODD), and rule (c) asks, for each set bit c of
-it, that ``scope & uncolored & ~blocked[c]`` be nonempty.
+Coloring v with c, and undoing it, touch only blocked[c], used_in[c],
+odd_in[c] and uncolored: O(1) big-int operations, with no loop over
+v's scopes.  Parity is an XOR toggle.  The scopes in which color e has
+a positive even count are ``used_in[e] & ~odd_in[e]``, and the fixers
+of e, the uncolored vertices with no neighbor colored e, are
+``uncolored & ~blocked[e]``.
+
+Rule (a) is the bit test ``blocked[c] >> v``.  It runs once when the
+search enters a depth: the colors v may take there (not blocked, at
+most 1 + the largest color used so far) form the mask of v's legal
+colors, which the search tries in ascending order.
+
+The vertex order is static, so the scopes whose last member is the
+vertex at depth pos form a mask ``closing[pos]``, built once per
+instance.  These are the scopes that rule (b) checks at that depth.
+Under EXISTS_ODD (some color odd in every scope; rule (c) does not
+apply) a closing scope must lie in ``odd_in[e]`` for some color e.
+Under ALL_ODD rule (b) is the case of rule (c) with no uncolored
+member left: a closed scope with an even color has no fixer.
 
 Coloring v with c changes a scope's counts and uncolored members only
 if v is in it, and its fixers only if it holds a neighbor of v, and
-then only the fixers of c.  Every scope passed rule (c) before the
-assignment, so it is enough to test every even color of v's own scopes
-and color c in the other scopes touching N(v) where c is even, the set
-``used_in[c] & ~odd_in[c] & others[v]``.  This prunes exactly the nodes
-that testing every color of every scope would, so node counts do not
-depend on it.  The per-vertex masks are built once per instance and
-reused for every k.
+then only the fixers of c.  Every scope with an uncolored member passed
+rule (c) before the assignment.  So in v's own scopes only v's legal
+colors at this depth need the test, c among them: any other color e
+was blocked for v (a color above the legal range is unused), so v was
+not a fixer of e, and e's counts and fixers there did not change.  In a
+scope that closes at v, v was the only uncolored member and hence the
+only possible fixer, so no such e is even there either.  In the other
+scopes touching N(v) only c can fail, in the set ``used_in[c] &
+~odd_in[c] & others[v]``.  This prunes exactly the nodes that testing
+every color of every scope would, so node counts do not depend on it.
+The per-vertex masks are built once per instance and reused for every
+k.
 
-The depth-first search keeps an explicit stack: per depth the next
-color to try, the largest color used so far, and the ``blocked[c]`` and
-``used_in[c]`` to restore on undo.  Input size is therefore not limited
-by the interpreter's recursion depth.
+The depth-first search keeps an explicit stack: per depth v's legal
+colors, those not tried yet, the largest color used so far, and the
+``blocked[c]`` and ``used_in[c]`` to restore on undo.  Input size is
+therefore not limited by the interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -115,6 +132,14 @@ def _bits(items) -> int:
     return mask
 
 
+def _members(mask):
+    """The set bits of a bitset, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _or(masks) -> int:
     """The union of a collection of bitsets."""
     out = 0
@@ -130,15 +155,20 @@ class _ParitySearch:
     def __init__(self, n, adj, scopes, mode):
         self.n = n
         self.mode = mode
-        self.order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+        self.order = order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
         self.nbr = [_bits(a) for a in adj]
         self.smask = [_bits(s) for s in scopes]
-        vscopes = [[] for _ in range(n)]
+        self.vsmask = vsmask = [0] * n
+        # closing[pos]: the scopes whose last member in the order is order[pos]
+        self.closing = closing = [0] * n
+        rank = [0] * n
+        for pos, v in enumerate(order):
+            rank[v] = pos
         for sid, members in enumerate(scopes):
-            for v in set(members):
-                vscopes[v].append(sid)
-        self.vscopes = vscopes
-        self.vsmask = vsmask = [_bits(x) for x in vscopes]
+            for v in members:
+                vsmask[v] |= 1 << sid
+            if members:
+                closing[max(rank[v] for v in members)] |= 1 << sid
         # the scopes of v's neighbors that do not contain v
         self.others = [_or(vsmask[u] for u in a) & ~vsmask[v] for v, a in enumerate(adj)]
 
@@ -172,8 +202,8 @@ class _ParitySearch:
         degree first: proper and rainbow on every scope, so it meets
         every mode's parity condition."""
         conflict = [
-            (self.nbr[v] | _or(self.smask[sid] for sid in sids)) & ~(1 << v)
-            for v, sids in enumerate(self.vscopes)
+            (self.nbr[v] | _or(self.smask[sid] for sid in _members(vs))) & ~(1 << v)
+            for v, vs in enumerate(self.vsmask)
         ]
         classes = []
         color = [0] * self.n
@@ -193,37 +223,35 @@ class _ParitySearch:
         node_cap = budget.max_nodes - nodes_used
         deadline = start + max(0.0, budget.max_time - time_used)
         n, order, nbr = self.n, self.order, self.nbr
-        smask, vscopes, vsmask, others = self.smask, self.vscopes, self.vsmask, self.others
-        all_odd = self.mode == ALL_ODD
-        check_c = all_odd and bool(smask)
+        smask, vsmask, others, closing = self.smask, self.vsmask, self.others, self.closing
+        check_c = self.mode == ALL_ODD and bool(smask)
         blocked = [0] * k
         used_in = [0] * k
         odd_in = [0] * k
-        used = [0] * len(smask)
-        par = [0] * len(smask)
         uncolored = (1 << n) - 1
-        color = [-1] * n
-        # per depth: the next color to try, the largest color on earlier
-        # vertices, and blocked[c] and used_in[c] before the assignment
-        nxt = [0] * (n + 1)
-        top = [-1] * (n + 1)
+        color = [0] * n
+        # per depth: v's legal colors, those not tried yet, the largest
+        # color on earlier vertices, and blocked[c] and used_in[c] before
+        # the assignment; depth 0 may only take color 0
+        legal = [1] * n
+        todo = [1] * n
+        top = [-1] * n
         saved_blocked = [0] * n
         saved_used = [0] * n
         nodes = 0
         pos = 0
         while pos < n:
             v = order[pos]
-            c = nxt[pos]
-            limit = min(top[pos] + 1, k - 1)
-            while c <= limit and blocked[c] >> v & 1:  # rule (a)
-                c += 1
-            if c <= limit:
+            cand = todo[pos]
+            if cand:
+                low = cand & -cand
+                todo[pos] = cand ^ low
+                c = low.bit_length() - 1
                 nodes += 1
                 if nodes > node_cap or (
                     nodes % 4096 == 0 and time.monotonic() > deadline
                 ):
                     return DecisionResult(UNKNOWN, None, nodes, time.monotonic() - start)
-                cb = 1 << c
                 vs = vsmask[v]
                 color[v] = c
                 uncolored ^= 1 << v
@@ -233,40 +261,45 @@ class _ParitySearch:
                 used_in[c] |= vs
                 odd_in[c] ^= vs
                 pruned = False
-                for sid in vscopes[v]:
-                    par[sid] ^= cb
-                    used[sid] |= cb
-                    if pruned:
-                        continue
-                    even = used[sid] & ~par[sid]
-                    free = smask[sid] & uncolored
-                    if not free:
-                        # rule (b)
-                        pruned = bool(even) if all_odd else not par[sid]
-                    elif check_c:
-                        # rule (c) for every even color of a scope of v
+                if check_c:
+                    # rule (c) for v's legal colors in v's scopes; a closed
+                    # scope has no fixer, so this is rule (b) too
+                    tests = legal[pos]
+                    while tests and not pruned:
+                        low = tests & -tests
+                        tests ^= low
+                        e = low.bit_length() - 1
+                        even = used_in[e] & ~odd_in[e] & vs
+                        fixers = uncolored & ~blocked[e]
                         while even:
                             low = even & -even
-                            if not free & ~blocked[low.bit_length() - 1]:
+                            if not smask[low.bit_length() - 1] & fixers:
                                 pruned = True
                                 break
                             even ^= low
-                if check_c and not pruned:
-                    # rule (c) in the other scopes touching N(v): their
-                    # counts did not move and only c lost fixers, so only
-                    # the scopes where c is even are tested
-                    cand = used_in[c] & ~odd_in[c] & others[v]
-                    fixers = uncolored & ~blocked[c]
-                    while cand:
-                        low = cand & -cand
-                        if not smask[low.bit_length() - 1] & fixers:
-                            pruned = True
-                            break
-                        cand ^= low
+                    if not pruned:
+                        # rule (c) for c in the other scopes touching N(v)
+                        even = used_in[c] & ~odd_in[c] & others[v]
+                        fixers = uncolored & ~blocked[c]
+                        while even:
+                            low = even & -even
+                            if not smask[low.bit_length() - 1] & fixers:
+                                pruned = True
+                                break
+                            even ^= low
+                elif closing[pos]:
+                    # rule (b) under EXISTS_ODD: a closed scope needs an odd color
+                    pruned = bool(closing[pos] & ~_or(odd_in))
                 if not pruned:
                     pos += 1
-                    nxt[pos] = 0
-                    top[pos] = c if c > top[pos - 1] else top[pos - 1]
+                    if pos < n:
+                        t = top[pos] = c if c > top[pos - 1] else top[pos - 1]
+                        u = order[pos]
+                        free = 0
+                        for e in range(min(t + 2, k)):  # rule (a)
+                            if not blocked[e] >> u & 1:
+                                free |= 1 << e
+                        legal[pos] = todo[pos] = free
                     continue
             elif pos == 0:
                 return DecisionResult(NO, None, nodes, time.monotonic() - start)
@@ -274,19 +307,11 @@ class _ParitySearch:
                 pos -= 1
                 v = order[pos]
                 c = color[v]
-                cb = 1 << c
-            # undo v := c at depth pos; the next color to try there is c + 1
-            color[v] = -1
+            # undo v := c at depth pos
             uncolored |= 1 << v
             blocked[c] = saved_blocked[pos]
-            fresh = vsmask[v] & ~saved_used[pos]
             used_in[c] = saved_used[pos]
             odd_in[c] ^= vsmask[v]
-            for sid in vscopes[v]:
-                par[sid] ^= cb
-                if fresh >> sid & 1:
-                    used[sid] &= ~cb
-            nxt[pos] = c + 1
         return DecisionResult(
             YES, Coloring(tuple(color)), nodes, time.monotonic() - start
         )

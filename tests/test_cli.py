@@ -208,6 +208,37 @@ def test_malformed_graph_and_coloring_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "{g}", "--max-nodes", "-1"],
+    ["solve", "--graph", "{g}", "--max-time", "-1"],
+    ["solve", "--graph", "{g}", "--k", "3", "--max-time", "-0.5"],
+    ["color", "--method", "product", "--left", "{g}", "--right", "{g}",
+     "--max-time", "-1"],
+    ["plane", "pipeline", "--map", "{m}", "--coloring", "{c}", "--max-time", "-1"],
+    ["gallery", "--max-nodes", "-1"],
+    ["gallery", "--max-time", "-1"],
+    ["solve", "--graph", "{g}", "--max-time", "nan"],
+])
+def test_negative_budget_exits_2(tmp_path, capsys, argv):
+    paths = {"g": tmp_path / "c4.json", "m": tmp_path / "c4map.json",
+             "c": tmp_path / "col.json"}
+    save_json(make_cycle(4), paths["g"])
+    save_map(embed_cycle(4), paths["m"])
+    paths["c"].write_text(json.dumps({"colors": [0, 1, 0, 1]}))
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "must be nonnegative" in captured.err
+
+
+def test_gallery_out_of_budget_fails_without_a_traceback(capsys):
+    code, out = run(capsys, "gallery", "--max-nodes", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert not data["pass"]
+    assert {row["name"]: row["computed"]["chi_so"] for row in data["rows"]}["K_{2,3}"] is None
+
+
 @pytest.mark.parametrize("action", ["claim1", "pipeline"])
 def test_plane_action_without_coloring_exits_2(tmp_path, capsys, action):
     mpath = tmp_path / "c4map.json"

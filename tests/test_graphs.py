@@ -132,8 +132,8 @@ def test_graph_validation():
 
 
 def test_json_round_trip(tmp_path):
-    g = from_json_dict({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
-    assert g.edges == make_complete(3).edges
+    g = from_json_dict({"n": 3, "edges": [[0, 1], [2, 1], [0, 2]]})
+    assert g == make_complete(3) and g.adj == make_complete(3).adj
     data = to_json_dict(g)
     assert data == {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
     # canonical form is stable under reload
@@ -141,12 +141,21 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(GraphError):
-        from_json_dict({"n": 2, "edges": [[0, 2]]})
-    with pytest.raises(GraphError):
-        from_json_dict({"n": 2, "edges": [[0, 0]]})
-    with pytest.raises(GraphError):
-        from_json_dict({"n": 2, "edges": [[0, 1], [1, 0]]})
+    for n, edges, message in [
+        (2, [[0, 2]], "edge (0,2) out of range for n=2"),
+        (2, [[0, 0]], "loop at vertex 0"),
+        (2, [[0, 1], [1, 0]], "duplicate edge (0, 1)"),
+        (-1, [], "vertex count must be nonnegative, got -1"),
+        (3, [[2, -1]], "edge (-1,2) out of range for n=3"),
+        (3, [[0, True]], "malformed edge entry [0, True]"),
+        (3, [[0, 1.0]], "malformed edge entry [0, 1.0]"),
+        (3, [[0, 1, 2]], "malformed edge entry [0, 1, 2]"),
+        (3, [5], "malformed edge entry 5"),
+        (3, ["01"], "malformed edge entry '01'"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            from_json_dict({"n": n, "edges": edges})
+        assert str(exc.value) == message
     with pytest.raises(GraphError):
         from_json_dict({"edges": []})
 

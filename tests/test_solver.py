@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,8 +14,13 @@ from strongodd.graphs import (
     product,
     square,
 )
+from strongodd.planemaps import augment_claim2, decompose_claim1
 from strongodd.solver import (
+    ALL_ODD,
+    EXISTS_ODD,
     Budget,
+    _ParitySearch,
+    _strong_odd_scopes,
     brute_force_chi_so,
     chi_exact,
     chi_odd_exact,
@@ -22,7 +28,7 @@ from strongodd.solver import (
     chi_square_exact,
     is_k_strong_odd_colorable,
 )
-from strongodd.randgen import random_graph
+from strongodd.randgen import random_graph, random_planar_map
 
 
 def test_decision_examples():
@@ -140,6 +146,50 @@ def test_chi_odd_node_count_pinned():
     g = random_graph(16, 0.3, random.Random("odd:16:0.3"))
     r = chi_odd_exact(g, Budget(max_nodes=10_000))
     assert (r.value, r.optimal, r.lo, r.nodes_explored) == (4, True, 4, 412)
+
+
+def _engine_instances():
+    """(n, adj, scopes, mode) of the four parameters on seeded G(n, p),
+    grids and the gallery rows, and of chi_pfo on Claim 2 pieces."""
+    graphs = [random_graph(n, p, random.Random(f"engine:{n}:{p}"))
+              for n in (8, 12, 16, 20, 22) for p in (0.2, 0.3, 0.5)]
+    graphs += [product(make_path(a), make_path(b), "cartesian")
+               for a, b in ((2, 3), (3, 3), (3, 4), (4, 5))]
+    graphs += [gallery(name).graph for name in ("G7", "G12a", "G12b", "C5boxC5")]
+    for g in graphs:
+        yield g.n, g.adj, _strong_odd_scopes(g), ALL_ODD
+        yield g.n, g.adj, [], ALL_ODD
+        yield g.n, g.adj, [sorted(g.adj[v]) for v in range(g.n) if g.adj[v]], EXISTS_ODD
+        sq = square(g)
+        yield sq.n, sq.adj, [], ALL_ODD
+    for n in (20, 30, 40):
+        pm = random_planar_map(n, random.Random(f"engine:pfo:{n}"))
+        for piece in decompose_claim1(pm, chi_exact(pm.underlying).witness):
+            if piece.n >= 3:
+                aug = augment_claim2(piece)
+                faces = [sorted(f) for f in aug.face_vertex_sets()]
+                yield aug.n, aug.underlying.adj, faces, ALL_ODD
+
+
+def test_engine_decisions_are_pinned():
+    # recorded before the search state became color-indexed: every
+    # decision from the clique bound up to the first YES (or the first
+    # give-up at 5,000 nodes) and one k above it, each also cut short
+    # at 1, 37 and 1,000 nodes, keeps its status, node count and witness
+    h = hashlib.sha256()
+    for n, adj, scopes, mode in _engine_instances():
+        search = _ParitySearch(n, adj, scopes, mode)
+        k = search.clique_bound()
+        last = n
+        while k <= last:
+            for cap in (1, 37, 1000, 5000):
+                r = search.run(k, Budget(max_nodes=cap))
+                colors = r.witness.colors if r.witness else None
+                h.update(repr((k, cap, r.status, r.nodes_explored, colors)).encode())
+            if r.status != "no":
+                last = min(last, k + 1)
+            k += 1
+    assert h.hexdigest()[:16] == "f01d797e7e5a61d8"
 
 
 def test_budget_exhaustion_reports_unknown():
