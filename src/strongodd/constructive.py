@@ -42,16 +42,16 @@ class RootedTreePlan:
     bfs_order: tuple[int, ...]
 
 
-def plan_rooted_tree(t: Graph, root: int = 0) -> RootedTreePlan:
-    """Breadth-first from root, neighbors in increasing order.  The walk
-    is also the tree check: n - 1 edges and every vertex reached."""
+def plan_rooted_tree(t: Graph) -> RootedTreePlan:
+    """Breadth-first from vertex 0, neighbors in increasing order.  The
+    walk is also the tree check: n - 1 edges and every vertex reached."""
     if t.m != t.n - 1:
         raise ConstructionError("input is not a tree")
     adj = t.adj
     parent = [-1] * t.n
     seen = [False] * t.n
-    seen[root] = True
-    order = [root]
+    seen[0] = True
+    order = [0]
     for v in order:  # the list is the queue: it grows while it is read
         for u in sorted(adj[v]):
             if not seen[u]:
@@ -60,7 +60,7 @@ def plan_rooted_tree(t: Graph, root: int = 0) -> RootedTreePlan:
                 order.append(u)
     if len(order) != t.n:
         raise ConstructionError("input is not a tree")
-    return RootedTreePlan(root, tuple(parent), tuple(order))
+    return RootedTreePlan(0, tuple(parent), tuple(order))
 
 
 def is_odd_tree(t: Graph) -> bool:

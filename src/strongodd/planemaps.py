@@ -17,7 +17,7 @@ connected map every region is a single orbit and the two views agree.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -178,9 +178,6 @@ class PlaneMultigraph:
             (min(u, v), max(u, v)) for u, v in self.edges
         ))
 
-    def next_dart(self, d: int) -> int:
-        return self._succ[d]
-
     def effective_regions(self) -> tuple[Region, ...]:
         """Stored regions, or the side-by-side default: one region per
         orbit, except that each extra component contributes its first
@@ -194,15 +191,14 @@ class PlaneMultigraph:
         for fi, cyc in enumerate(faces):
             ci = comp_of[self.vertex_of(cyc[0])]
             first_orbit.setdefault(ci, fi)
-        dart_comps = sorted(first_orbit)
-        if len(dart_comps) + len(isolated) <= 1:
+        if len(first_orbit) + len(isolated) <= 1:
             regions = [(frozenset(cyc), frozenset()) for cyc in faces]
             if not regions:
                 regions = [(frozenset(), isolated)]
             elif isolated:
                 raise AssertionError("unreachable")
             return tuple(regions)
-        outer = [first_orbit[ci] for ci in dart_comps]
+        outer = set(first_orbit.values())
         shared = frozenset(d for fi in outer for d in faces[fi])
         regions = [(shared, isolated)]
         for fi, cyc in enumerate(faces):
@@ -227,27 +223,20 @@ class PlaneMultigraph:
 
 @dataclass(frozen=True)
 class FaceData:
-    """Face orbits of a map: dart cycles, their vertex sets, and the
-    faces incident with each vertex."""
+    """Face orbits of a map: dart cycles and their vertex sets."""
 
     faces: tuple[tuple[int, ...], ...]
     boundary_vertices: tuple[frozenset[int], ...]
-    incidence: tuple[frozenset[int], ...]
 
 
-def trace_faces(m: PlaneMultigraph, validate: bool = True) -> FaceData:
+def trace_faces(m: PlaneMultigraph) -> FaceData:
     """Orbits of the face successor, each starting at its smallest dart
-    and listed in that order; optionally check the Euler identity on
+    and listed in that order, after a check of the Euler identity on
     every connected component."""
-    if validate:
-        _check_euler(m)
+    _check_euler(m)
     faces, tail = m._orbits, m._tail
     boundary = tuple(frozenset(map(tail.__getitem__, cyc)) for cyc in faces)
-    inc = [set() for _ in range(m.n)]
-    for fi, verts in enumerate(boundary):
-        for v in verts:
-            inc[v].add(fi)
-    return FaceData(faces, boundary, tuple(map(frozenset, inc)))
+    return FaceData(faces, boundary)
 
 
 def _check_euler(m: PlaneMultigraph) -> None:
@@ -427,26 +416,6 @@ class _MapBuilder:
 
     def degree(self, v: int) -> int:
         return len(self.rot[v])
-
-    def components(self) -> list[set[int]]:
-        seen = set()
-        comps = []
-        for s in sorted(self.alive):
-            if s in seen:
-                continue
-            comp = {s}
-            seen.add(s)
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for d in self.rot[x]:
-                    y = self.vert[d ^ 1]
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        queue.append(y)
-            comps.append(comp)
-        return comps
 
     def _new_darts(self, u: int, w: int) -> tuple[int, int]:
         a = self.next_dart_id
@@ -823,16 +792,14 @@ def digon_expand(m: PlaneMultigraph) -> PlaneMultigraph:
 # Decomposition into per-color plane multigraphs
 # ---------------------------------------------------------------------------
 
-def decompose_claim1(
-    m: PlaneMultigraph, phi: Coloring, check: bool = True
-) -> list[PlaneMultigraph]:
+def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]:
     """Per color class: drop edges outside the class, strip now-small
     outside vertices, then annihilate every remaining outside vertex.
 
     The resulting map for class i lives on the class vertices (labels
-    point back into m) and has the property that the class neighborhood
-    of any vertex with at least two class neighbors bounds one of its
-    faces.
+    point back into m) and has the property, checked before it is
+    returned, that the class neighborhood of any vertex with at least
+    two class neighbors bounds one of its faces.
     """
     g = m.underlying
     if len(m.edges) != g.m:
@@ -864,15 +831,14 @@ def decompose_claim1(
         piece = b.snapshot()
         if piece.m:
             _check_euler(piece)
-        if check:
-            face_sets = {piece.relabel_to_parent(s) for s in piece.face_vertex_sets()}
-            for x in range(m.n):
-                hood = frozenset(g.adj[x] & cls)
-                if len(hood) >= 2 and hood not in face_sets:
-                    raise MapError(
-                        f"class {i}: neighborhood {sorted(hood)} of vertex {x} "
-                        "is not a face boundary"
-                    )
+        face_sets = {piece.relabel_to_parent(s) for s in piece.face_vertex_sets()}
+        for x in range(m.n):
+            hood = frozenset(g.adj[x] & cls)
+            if len(hood) >= 2 and hood not in face_sets:
+                raise MapError(
+                    f"class {i}: neighborhood {sorted(hood)} of vertex {x} "
+                    "is not a face boundary"
+                )
         pieces.append(piece)
     return pieces
 
@@ -882,12 +848,9 @@ def decompose_claim1(
 # ---------------------------------------------------------------------------
 
 def is_two_connected(m: PlaneMultigraph) -> bool:
-    if m.n < 3:
+    if m.n < 3 or max(m._component_of) != 0:
         return False
-    b = _MapBuilder(m)
-    if len(b.components()) != 1:
-        return False
-    _, cuts = b.blocks()
+    _, cuts = _MapBuilder(m).blocks()
     return not cuts
 
 
@@ -970,6 +933,23 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     each end-block is merged by an edge across a corner at its cut
     vertex, splitting one face into a triangle and a face with the
     original vertex set.
+
+    Bridging order.  A region's pieces are its boundary orbits, keyed by
+    their smallest dart, then its isolated vertices v, keyed by
+    next_dart_id + v; a piece's anchor is its smallest vertex.  Each
+    bridge goes into the region with the smallest key among those that
+    still span two components, from the first piece's anchor u to the
+    anchor w of the first piece in another component.  One pass in a
+    fixed order gives the same bridges.  A bridge merges just the two
+    pieces it joins, and only in its own region.  The merged piece has
+    anchor min(u, w) and stays its region's first piece, and the order of
+    all other keys holds, because new darts are larger than all old ones
+    and the isolated keys shift together.  Components only merge, so a
+    region that stops spanning two never spans two again.  So the
+    regions are visited once, in the order of their smallest keys, and
+    each is bridged along its pieces until it lies in one component.  The
+    argument needs each region to meet a component in at most one piece,
+    as a face of a plane map does.
     """
     if m.n < 3:
         raise MapError("augmentation needs at least three vertices")
@@ -998,26 +978,34 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
             if not face_sets[s]:
                 raise AssertionError(f"{what} lost face boundary {sorted(s)}")
 
-    while len(b.components()) > 1:
-        comp_of = {}
-        for ci, comp in enumerate(b.components()):
-            for v in comp:
-                comp_of[v] = ci
-        candidates = []
-        for rid in sorted(r for r, at in b.region_darts.items() if at or b.region_iso[r]):
-            pieces = b._region_pieces(rid)
-            if len({comp_of[anchor] for _, anchor in pieces}) >= 2:
-                candidates.append((min(key for key, _ in pieces), rid, pieces))
-        if not candidates:
-            raise MapError("disconnected map has no shared region to bridge")
-        _, rid, pieces = min(candidates)
-        pieces.sort()
-        first_key, u = pieces[0]
-        w = next(
-            anchor for _, anchor in pieces[1:] if comp_of[anchor] != comp_of[u]
-        )
-        b.add_edge_in_region(rid, u, w)
-        check_faces((rid,), (u, w), "bridge")
+    # the builder keeps the map's vertex ids, so the map's component index
+    # applies to it; parent is a union-find over the component ids
+    comp_of = m._component_of
+    parent = list(range(max(comp_of) + 1))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    merges_left = len(parent) - 1
+    regions = []
+    if merges_left:  # a connected map needs no bridge: skip the orbit walks
+        regions = sorted((b._region_pieces(r), r) for r in b.region_darts)
+    for pieces, rid in regions:
+        if len(pieces) < 2:
+            continue
+        u = pieces[0][1]
+        for _, w in pieces[1:]:
+            cu, cw = find(comp_of[u]), find(comp_of[w])
+            if cu != cw:
+                b.add_edge_in_region(rid, u, w)
+                check_faces((rid,), (u, w), "bridge")
+                parent[cw] = cu
+                merges_left -= 1
+                u = min(u, w)  # the anchor of the merged piece
+    if merges_left:
+        raise MapError("disconnected map has no shared region to bridge")
 
     blocks = _EndBlocks(b)
     while (end := blocks.next_end()) is not None:
@@ -1116,7 +1104,7 @@ def strong_odd_via_planar_detailed(
     union stays strong odd, with more colors than an optimal piece may
     need."""
     budget = budget or Budget()
-    if not m.underlying.is_connected():
+    if max(m._component_of, default=0) != 0:
         raise MapError("pipeline input must be connected")
     pieces = decompose_claim1(m, phi)
     final = [-1] * m.n

@@ -96,7 +96,7 @@ def random_planar_map(
             continue
         nbrs[u].remove(v)
         nbrs[v].remove(u)
-        if _connected(nbrs):
+        if _reaches(nbrs, u, v):
             removed += 1
         else:
             nbrs[u].append(v)
@@ -105,14 +105,15 @@ def random_planar_map(
     return from_neighbor_rotations(nbrs)
 
 
-def _connected(nbrs) -> bool:
-    n = len(nbrs)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
+def _reaches(nbrs, u: int, v: int) -> bool:
+    """Breadth-first search from u that stops as soon as it meets v."""
+    seen = {u}
+    queue = [u]
+    for x in queue:  # the list is the queue: it grows while it is read
         for y in nbrs[x]:
+            if y == v:
+                return True
             if y not in seen:
                 seen.add(y)
-                stack.append(y)
-    return len(seen) == n
+                queue.append(y)
+    return False

@@ -92,6 +92,11 @@ class Budget:
     max_nodes: int = 10**8
     max_time: float = 60.0
 
+    def __post_init__(self):
+        for name in ("max_nodes", "max_time"):
+            if not getattr(self, name) >= 0:  # also rejects nan
+                raise ValueError(f"{name} must be nonnegative")
+
 
 @dataclass
 class DecisionResult:

@@ -48,7 +48,6 @@ def test_triangle_faces():
     fd = trace_faces(tri)
     assert len(fd.faces) == 2
     assert all(len(s) == 3 for s in fd.boundary_vertices)
-    assert fd.incidence == (frozenset({0, 1}),) * 3
 
 
 def test_embedded_cycle_and_path():
@@ -178,7 +177,7 @@ def test_claim1_property_on_random_maps():
         n = rng.randint(4, 13)
         pm = random_planar_map(n, rng, delete_fraction=rng.choice([0.0, 0.3]))
         phi = chi_exact(pm.underlying).witness
-        pieces = decompose_claim1(pm, phi)  # internal property check enabled
+        pieces = decompose_claim1(pm, phi)  # checks the face property itself
         assert sum(p.n for p in pieces) == pm.n
         # vertex sets partition V into independent sets
         seen = set()
@@ -249,6 +248,31 @@ def test_claim2_connects_isolated_vertices():
     pm = PlaneMultigraph(4, ((0, 1),), ((0,), (1,), (), ()))
     aug = augment_claim2(pm)
     assert is_two_connected(aug)
+
+
+def test_claim2_needs_a_region_shared_by_two_components():
+    two = from_neighbor_rotations(_side_by_side(*[[[2, 1], [0, 2], [1, 0]]] * 2))
+    regions = tuple((frozenset(cyc), frozenset()) for cyc in trace_faces(two).faces)
+    apart = PlaneMultigraph(two.n, two.edges, two.rotation, regions=regions)
+    with pytest.raises(MapError, match="disconnected map has no shared region to bridge"):
+        augment_claim2(apart)
+
+
+def test_claim2_bridging_is_pinned():
+    # recorded before the bridging loop became one pass over the regions
+    parts = [[[]], [[1], [0]]] + [
+        [[(v - 1) % k, (v + 1) % k] for v in range(k)] for k in (3, 4, 5)
+    ]
+    h = hashlib.sha256()
+    rng = random.Random(11)
+    count = 0
+    while count < 200:
+        nbrs = _side_by_side(*(rng.choice(parts) for _ in range(rng.randint(1, 6))))
+        if len(nbrs) < 3:
+            continue
+        h.update(repr(_map_key(augment_claim2(from_neighbor_rotations(nbrs)))).encode())
+        count += 1
+    assert h.hexdigest()[:16] == "1511464ee10e8bc0"
 
 
 def _first_fit(g):

@@ -217,6 +217,13 @@ def test_budget_exhaustion_brackets_with_a_valid_witness(solve, verify):
         assert res.optimal == (res.value is not None) == (res.hi == res.lo)
 
 
+@pytest.mark.parametrize("field", ["max_nodes", "max_time"])
+@pytest.mark.parametrize("value", [-1, float("nan")])
+def test_budget_rejects_negative_and_nan(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+        Budget(**{field: value})
+
+
 def test_greedy_witness_at_the_lower_bound_is_optimal():
     # the search at k = 2 gives up, and first-fit 2-colors the path
     res = chi_exact(make_path(12), Budget(max_nodes=1))
