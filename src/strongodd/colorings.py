@@ -136,14 +136,17 @@ def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
 
     A vertex's clashes are the color-c(v) groups among its neighbors'
     neighborhoods, minus v and N(v); each such group holds v, so only
-    groups of two or more are built, once per vertex.  When v lies in
-    one group and has no same-colored neighbor, its count is the group's
-    size less one, with no set built.
+    groups of two or more are built, and groups with the same members
+    are kept once (the leaves of K_{2,n} would otherwise lie in two
+    groups of n).  When v lies in one distinct group and has no
+    same-colored neighbor, its count is the group's size less one, with
+    no set built.
     """
     _check_length(g, phi)
     colors = phi.colors
     same = _same_colored(g, colors)
-    groups_of: dict[int, list[list[int]]] = {}
+    groups_of: dict[int, list[frozenset[int]]] = {}
+    seen: set[frozenset[int]] = set()
     for nbrs in g.adj:
         if len(nbrs) < 2 or len(set(map(colors.__getitem__, nbrs))) == len(nbrs):
             continue
@@ -152,8 +155,11 @@ def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
             by_color.setdefault(colors[w], []).append(w)
         for members in by_color.values():
             if len(members) > 1:
-                for w in members:
-                    groups_of.setdefault(w, []).append(members)
+                group = frozenset(members)
+                if group not in seen:
+                    seen.add(group)
+                    for w in group:
+                        groups_of.setdefault(w, []).append(group)
     clash = []
     for v in sorted(groups_of):
         groups = groups_of[v]

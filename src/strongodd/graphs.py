@@ -72,11 +72,11 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs = [set() for _ in range(self.n)]
+        nbrs = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(frozenset, nbrs))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]

@@ -605,71 +605,6 @@ class _MapBuilder:
         self._set_region(d, new_region)
         self._set_region(t2, new_region)
 
-    # -- block structure ------------------------------------------------------
-
-    def blocks(self) -> tuple[dict[int, int], set[int]]:
-        """Biconnected components and cut vertices of the multigraph, by
-        Hopcroft and Tarjan's depth-first search: the block index of each
-        edge (keyed by dart // 2) and the set of cut vertices.  Parallel
-        edges count separately, so a doubled edge forms a 2-connected
-        block."""
-        disc = {}
-        low = {}
-        dart_stack = []
-        block_of = {}
-        cuts = set()
-        counter = [0, 0]  # next discovery time, next block index
-
-        def dfs(root):
-            root_children = 0
-            todo = [(root, -1, 0)]
-            disc[root] = low[root] = counter[0]
-            counter[0] += 1
-            while todo:
-                v, in_dart, idx = todo.pop()
-                rot = self.rot[v]
-                advanced = False
-                while idx < len(rot):
-                    d = rot[idx]
-                    idx += 1
-                    u = self.vert[d ^ 1]
-                    if d == in_dart:
-                        continue
-                    if u not in disc:
-                        dart_stack.append(d)
-                        disc[u] = low[u] = counter[0]
-                        counter[0] += 1
-                        todo.append((v, in_dart, idx))
-                        todo.append((u, d ^ 1, 0))
-                        advanced = True
-                        break
-                    if disc[u] < disc[v]:
-                        dart_stack.append(d)
-                        low[v] = min(low[v], disc[u])
-                if advanced:
-                    continue
-                if todo:
-                    p = todo[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] >= disc[p]:
-                        if p == root:
-                            root_children += 1
-                        while True:
-                            d = dart_stack.pop()
-                            block_of[d >> 1] = counter[1]
-                            if d == in_dart ^ 1:
-                                break
-                        counter[1] += 1
-                        if p != root:
-                            cuts.add(p)
-            return root_children
-
-        for root in sorted(self.alive):
-            if root not in disc:
-                if dfs(root) >= 2:
-                    cuts.add(root)
-        return block_of, cuts
-
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> PlaneMultigraph:
@@ -847,10 +782,76 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
 # Two-connectivity augmentation
 # ---------------------------------------------------------------------------
 
+def _blocks(rotation, tail, vertices) -> tuple[dict[int, int], set[int]]:
+    """Biconnected components and cut vertices of a multigraph given by
+    its rotations (vertex -> darts) and dart tails (dart -> vertex), by
+    Hopcroft and Tarjan's depth-first search: the block index of each
+    edge (keyed by dart // 2) and the set of cut vertices.  Parallel
+    edges count separately, so a doubled edge forms a 2-connected
+    block.  A search starts at each of `vertices` not yet reached, in
+    the order given."""
+    disc = {}
+    low = {}
+    dart_stack = []
+    block_of = {}
+    cuts = set()
+    counter = [0, 0]  # next discovery time, next block index
+
+    def dfs(root):
+        root_children = 0
+        todo = [(root, -1, 0)]
+        disc[root] = low[root] = counter[0]
+        counter[0] += 1
+        while todo:
+            v, in_dart, idx = todo.pop()
+            rot = rotation[v]
+            advanced = False
+            while idx < len(rot):
+                d = rot[idx]
+                idx += 1
+                u = tail[d ^ 1]
+                if d == in_dart:
+                    continue
+                if u not in disc:
+                    dart_stack.append(d)
+                    disc[u] = low[u] = counter[0]
+                    counter[0] += 1
+                    todo.append((v, in_dart, idx))
+                    todo.append((u, d ^ 1, 0))
+                    advanced = True
+                    break
+                if disc[u] < disc[v]:
+                    dart_stack.append(d)
+                    low[v] = min(low[v], disc[u])
+            if advanced:
+                continue
+            if todo:
+                p = todo[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    if p == root:
+                        root_children += 1
+                    while True:
+                        d = dart_stack.pop()
+                        block_of[d >> 1] = counter[1]
+                        if d == in_dart ^ 1:
+                            break
+                    counter[1] += 1
+                    if p != root:
+                        cuts.add(p)
+        return root_children
+
+    for root in vertices:
+        if root not in disc:
+            if dfs(root) >= 2:
+                cuts.add(root)
+    return block_of, cuts
+
+
 def is_two_connected(m: PlaneMultigraph) -> bool:
     if m.n < 3 or max(m._component_of) != 0:
         return False
-    _, cuts = _MapBuilder(m).blocks()
+    _, cuts = _blocks(m.rotation, m._tail, range(m.n))
     return not cuts
 
 
@@ -869,7 +870,7 @@ class _EndBlocks:
 
     def __init__(self, b: _MapBuilder):
         self.b = b
-        self.edge_block, cuts = b.blocks()
+        self.edge_block, cuts = _blocks(b.rot, b.vert, sorted(b.alive))
         verts = [set() for _ in range(len(set(self.edge_block.values())))]
         for d, v in b.vert.items():
             verts[self.edge_block[d >> 1]].add(v)

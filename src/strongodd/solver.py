@@ -66,6 +66,32 @@ The depth-first search keeps an explicit stack: per depth v's legal
 colors, those not tried yet, the largest color used so far, and the
 ``blocked[c]`` and ``used_in[c]`` to restore on undo.  Input size is
 therefore not limited by the interpreter's recursion depth.
+
+Solves and decisions are split into the components of the conflict
+relation: two vertices are joined when they are adjacent or share a
+scope.  Properness and parity constrain one edge or one scope each, so
+no constraint crosses a component, and a coloring of the instance is a
+coloring of each component; with one palette the colorings sit side by
+side.  run(k) allows up to k colors, so the instance is k-colorable iff
+every component is, and every parameter is the maximum over the
+components.  A connected instance is searched with the masks built
+from its own input, so its node counts and witnesses are those of one
+search.  Each component of a disconnected one is searched on its
+vertices relabeled in ascending order.
+
+The components are visited hardest clique bound first, ties to the
+smallest vertex, and each one's ascending search starts at max(its
+clique bound, the best value so far) and stops at its first YES: k below
+the best value cannot change the maximum, and a YES there only shows
+that the component needs no more.  One node count and one elapsed time
+run across all components, through run()'s nodes_used and time_used.
+When a component runs out of budget at k, it and every later component
+are colored greedily and not searched.  Every k from the component's
+start up to k - 1 was refuted, so the instance needs at least k: lo,
+the largest final k of the components searched, is a lower bound.  hi
+is the largest number of colors among the YES witnesses and greedy
+colorings, which the side-by-side witness uses, and the answer is
+optimal when lo == hi.
 """
 
 from __future__ import annotations
@@ -111,13 +137,14 @@ class SolveResult:
     """Outcome of an ascending-k exact solve.
 
     Every k below lo is refuted, by a completed search or by the clique
-    lower bound.  When the search at lo finds a coloring, value = lo =
-    hi, optimal is True and witness uses value colors.  When the budget
-    runs out at lo, witness is a greedy coloring of the conflict graph
-    (adjacency plus every scope as a clique): it is proper and rainbow
-    on every scope, so it satisfies the parameter with hi = witness.k
-    colors.  value is then None and optimal False, unless hi equals lo,
-    which makes the greedy coloring optimal.
+    lower bound.  When every component's search finds a coloring, value
+    = lo = hi, optimal is True and witness uses value colors.  When the
+    budget runs out at lo, the component that gave up and every
+    component after it are colored greedily on the conflict graph
+    (adjacency plus every scope as a clique): proper and rainbow on
+    every scope, so the witness satisfies the parameter with hi =
+    witness.k colors.  value is then None and optimal False, unless hi
+    equals lo, which makes the witness optimal.
     """
 
     value: Optional[int]
@@ -202,14 +229,35 @@ class _ParitySearch:
             best = max(best, size)
         return best
 
+    def _conflicts(self) -> list:
+        """Per vertex v, the vertices that may not share v's color in a
+        coloring that is proper and rainbow on every scope: v's
+        neighbors and the other members of v's scopes."""
+        return [
+            (self.nbr[v] | _or(self.smask[sid] for sid in _members(vs))) & ~(1 << v)
+            for v, vs in enumerate(self.vsmask)
+        ]
+
+    def components(self) -> list:
+        """The vertex bitsets of the components of the conflict
+        relation, in ascending order of their smallest vertex."""
+        conflict = self._conflicts()
+        out = []
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                frontier = _or(conflict[v] for v in _members(frontier)) & ~comp
+                comp |= frontier
+            out.append(comp)
+            left &= ~comp
+        return out
+
     def greedy(self) -> Coloring:
         """First-fit coloring of the conflict graph, largest conflict
         degree first: proper and rainbow on every scope, so it meets
         every mode's parity condition."""
-        conflict = [
-            (self.nbr[v] | _or(self.smask[sid] for sid in _members(vs))) & ~(1 << v)
-            for v, vs in enumerate(self.vsmask)
-        ]
+        conflict = self._conflicts()
         classes = []
         color = [0] * self.n
         for v in sorted(range(self.n), key=lambda v: (-conflict[v].bit_count(), v)):
@@ -326,42 +374,94 @@ def _strong_odd_scopes(g: Graph):
     return [tuple(sorted(g.adj[v])) for v in range(g.n)]
 
 
+def _parts(n, adj, scopes, mode) -> list:
+    """(vertices, search, clique bound) per component of the conflict
+    relation, hardest clique bound first, ties to the smallest vertex.
+    A connected instance keeps the search built from its own input; a
+    component is searched on its vertices relabeled in ascending order,
+    with its scopes in their original order and empty scopes dropped."""
+    whole = _ParitySearch(n, adj, scopes, mode)
+    comps = whole.components()
+    if len(comps) == 1:
+        searches = [(range(n), whole)]
+    else:
+        comps = [list(_members(comp)) for comp in comps]
+        part_of = [0] * n
+        index = [0] * n
+        for p, verts in enumerate(comps):
+            for i, v in enumerate(verts):
+                part_of[v], index[v] = p, i
+        part_scopes = [[] for _ in comps]
+        for s in scopes:
+            if s:
+                part_scopes[part_of[s[0]]].append([index[u] for u in s])
+        searches = [
+            (verts, _ParitySearch(len(verts), [[index[u] for u in adj[v]] for v in verts],
+                                  sc, mode))
+            for verts, sc in zip(comps, part_scopes)
+        ]
+    parts = [(verts, search, search.clique_bound()) for verts, search in searches]
+    parts.sort(key=lambda part: -part[2])  # stable: components come smallest vertex first
+    return parts
+
+
 def is_k_strong_odd_colorable(
     g: Graph, k: int, budget: Optional[Budget] = None
 ) -> DecisionResult:
-    """Decide whether g has a strong odd k-coloring."""
+    """Decide whether g has a strong odd k-coloring, one component at a
+    time on one budget; the first component that answers NO or runs out
+    of budget answers for g."""
     if k < 1:
         raise ValueError("k must be positive")
     budget = budget or Budget()
-    search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
-    return search.run(k, budget)
+    start = time.monotonic()
+    nodes = 0
+    color = [0] * g.n
+    for verts, search, _ in _parts(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD):
+        res = search.run(k, budget, nodes, time.monotonic() - start)
+        nodes += res.nodes_explored
+        if res.status != YES:
+            return DecisionResult(res.status, None, nodes, time.monotonic() - start)
+        for v, c in zip(verts, res.witness.colors):
+            color[v] = c
+    return DecisionResult(YES, Coloring(tuple(color)), nodes, time.monotonic() - start)
 
 
 def _solve(n, adj, scopes, mode, budget) -> SolveResult:
-    """Ascending-k search from the clique bound; first feasible k with
-    all smaller k refuted (a rainbow coloring caps k at n).  A budget
-    that runs out leaves the bracket lo..hi with a greedy witness at hi."""
+    """Ascending-k search per component from max(its clique bound, the
+    best value certified so far) to its first feasible k; the witnesses
+    sit side by side on one palette.  A budget that runs out leaves the
+    bracket lo..hi, with greedy witnesses for the component that gave up
+    and every component after it."""
     budget = budget or Budget()
     if n == 0:
         return SolveResult(0, Coloring(()), True, 0, 0.0, 0, 0)
     start = time.monotonic()
     nodes = 0
-    search = _ParitySearch(n, adj, scopes, mode)
-    k = search.clique_bound()
-    while True:
-        res = search.run(k, budget, nodes, time.monotonic() - start)
-        nodes += res.nodes_explored
-        if res.status == YES:
-            return SolveResult(k, res.witness, True, nodes,
-                               time.monotonic() - start, k, k)
-        if res.status == UNKNOWN:
+    color = [0] * n
+    lo = hi = 0
+    gave_up = False
+    for verts, search, bound in _parts(n, adj, scopes, mode):
+        if gave_up:
             phi = search.greedy()
-            optimal = phi.k == k
-            return SolveResult(k if optimal else None, phi, optimal, nodes,
-                               time.monotonic() - start, k, phi.k)
-        k += 1
-        if k > n:
-            raise AssertionError("search exceeded the trivial upper bound")
+        else:
+            lo = max(bound, lo)
+            while True:
+                res = search.run(lo, budget, nodes, time.monotonic() - start)
+                nodes += res.nodes_explored
+                if res.status != NO:
+                    break
+                if lo >= search.n:
+                    raise AssertionError("search exceeded the trivial upper bound")
+                lo += 1
+            gave_up = res.status == UNKNOWN
+            phi = search.greedy() if gave_up else res.witness
+        hi = max(hi, phi.k)
+        for v, c in zip(verts, phi.colors):
+            color[v] = c
+    optimal = lo == hi
+    return SolveResult(lo if optimal else None, Coloring(tuple(color)), optimal,
+                       nodes, time.monotonic() - start, lo, hi)
 
 
 def chi_so_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:

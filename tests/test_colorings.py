@@ -277,6 +277,21 @@ def test_square_clashes_on_stars():
             assert verifier(small, phi) == expected
 
 
+def test_square_clashes_on_k2n():
+    # both centers see all n leaves, so every leaf lies in two identical
+    # color groups; it clashes with the n - 1 other leaves
+    for n in (2, 3, 50, 4000):
+        g = make_complete_bipartite(2, n)
+        assert _clash_counts(g, Coloring((0, 1) + (2,) * n)) == {n - 1: n}
+        # the centers share a color too: each clashes with the other
+        assert _clash_counts(g, Coloring((0, 0) + (1,) * n)) == Counter({1: 2}) + Counter({n - 1: n})
+    g = make_complete_bipartite(2, 7)
+    for colors in [(0, 1) + (2,) * 7, (0, 0) + (1,) * 7, (0, 1, 0) + (2,) * 6]:
+        phi = Coloring(colors)
+        for verifier, expected in _reference_violations(g, phi).items():
+            assert verifier(g, phi) == expected
+
+
 def test_huge_color_ids_allocate_nothing_per_id():
     # counts are keyed by color id, never indexed or shifted by it
     g = make_cycle(4)

@@ -7,6 +7,8 @@ from strongodd.colorings import is_odd, is_proper, is_strong_odd
 from strongodd.gallery import gallery
 from strongodd.graphs import (
     Graph,
+    disjoint_union,
+    make_complete,
     make_complete_bipartite,
     make_cycle,
     make_path,
@@ -27,6 +29,7 @@ from strongodd.solver import (
     chi_so_exact,
     chi_square_exact,
     is_k_strong_odd_colorable,
+    solve_parity_system,
 )
 from strongodd.randgen import random_graph, random_planar_map
 
@@ -209,12 +212,21 @@ def test_budget_exhaustion_reports_unknown():
 ])
 def test_budget_exhaustion_brackets_with_a_valid_witness(solve, verify):
     rng = random.Random(31)
-    for n in (12, 16, 20, 24):
-        g = random_graph(n, 0.3, rng)
+    graphs = [random_graph(n, 0.3, rng) for n in (12, 16, 20, 24)]
+    # unions: the first component searched gives up, or (the triangle)
+    # certifies in 3 nodes and the path after it gives up
+    graphs += [disjoint_union(random_graph(a, 0.3, rng), random_graph(b, 0.3, rng))
+               for a, b in ((10, 11), (12, 12), (6, 14))]
+    graphs += [disjoint_union(make_complete(3), make_path(6), Graph(2, frozenset()))]
+    for g in graphs:
         res = solve(g, Budget(max_nodes=3))
         assert verify(g, res.witness) == []
-        assert res.witness.k == res.hi and res.lo <= res.hi < n
+        assert res.witness.k == res.hi and res.lo <= res.hi < g.n
         assert res.optimal == (res.value is not None) == (res.hi == res.lo)
+        # one node count runs across the components: a give-up stops at
+        # the first node past the budget, and no component is searched
+        # after it
+        assert res.nodes_explored <= 4
 
 
 @pytest.mark.parametrize("field", ["max_nodes", "max_time"])
@@ -248,3 +260,68 @@ def test_brute_force_guard():
 def test_decision_k_validation():
     with pytest.raises(ValueError):
         is_k_strong_odd_colorable(make_cycle(3), 0)
+
+
+def _union_3():
+    # "union:3" of the benchmark's solve pool, built as
+    # perfbench/inputs.solve_instance builds it
+    rng = random.Random("union:3")
+    parts = [(10, 0.3), (11, 0.3), (12, 0.3)]
+    (n1, p1), (n2, p2) = rng.choice(parts), rng.choice(parts)
+    return disjoint_union(random_graph(n1, p1, rng), random_graph(n2, p2, rng))
+
+
+def test_disjoint_union_certifies_per_component():
+    # searched as one instance it exhausts 10,001 nodes at 7..9
+    g = _union_3()
+    res = chi_so_exact(g, Budget(max_nodes=2_000))
+    assert (res.value, res.optimal, res.lo, res.hi) == (9, True, 9, 9)
+    assert res.nodes_explored == 662
+    assert is_strong_odd(g, res.witness) == [] and res.witness.k == 9
+    # K4 has the larger clique bound, so it is searched first and P4
+    # starts at k = 4: 4 + 6 nodes, with nothing to refute
+    g = disjoint_union(make_path(4), make_complete(4))
+    res = chi_so_exact(g)
+    assert (res.value, res.nodes_explored) == (4, 10)
+    assert is_strong_odd(g, res.witness) == [] and res.witness.k == 4
+
+
+@pytest.mark.parametrize("solve,verify", [
+    (chi_so_exact, is_strong_odd),
+    (chi_exact, is_proper),
+    (chi_odd_exact, is_odd),
+    (chi_square_exact, lambda g, phi: is_proper(square(g), phi)),
+])
+def test_parameters_of_a_union_are_the_max_over_its_parts(solve, verify):
+    rng = random.Random(12)
+    for _ in range(20):
+        parts = [_random_graph(rng) for _ in range(rng.randint(2, 3))]
+        g = disjoint_union(*parts)
+        res = solve(g)
+        want = max(solve(part).value for part in parts)
+        if solve is chi_so_exact:
+            assert want == max(brute_force_chi_so(part) for part in parts)
+        assert res.optimal and res.value == want
+        assert verify(g, res.witness) == [] and res.witness.k == res.value
+
+
+def test_a_scope_joins_its_members_into_one_part():
+    # two isolated vertices, one scope: the scope must see two colors
+    res = solve_parity_system(2, [[], []], [[0, 1]])
+    assert (res.value, res.optimal) == (2, True)
+    assert sorted(res.witness.colors) == [0, 1]
+    # the scope joins two edges into one part; each edge alone needs 2
+    res = solve_parity_system(4, [[1], [0], [3], [2]], [[0, 2]])
+    assert res.value == 2
+    assert res.witness.colors[0] != res.witness.colors[2]
+
+
+def test_decisions_on_a_union():
+    # chi_so(P4) = 3 and chi_so(C5) = 5
+    g = disjoint_union(make_path(4), make_cycle(5))
+    for k in (2, 3, 4):
+        assert is_k_strong_odd_colorable(g, k).status == "no"
+    res = is_k_strong_odd_colorable(g, 5)
+    assert res.status == "yes"
+    assert is_strong_odd(g, res.witness) == [] and res.witness.k <= 5
+    assert is_k_strong_odd_colorable(g, 5, Budget(max_nodes=4)).status == "unknown"
