@@ -146,7 +146,7 @@ def cmd_solve(args) -> int:
         out = {
             "k": args.k,
             "status": res.status,
-            "witness": list(res.witness.colors) if res.witness else None,
+            "witness": list(res.witness.colors) if res.witness is not None else None,
             "nodes": res.nodes_explored,
             "ms": round(res.elapsed * 1000, 3),
         }

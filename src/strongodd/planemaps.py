@@ -17,6 +17,7 @@ connected map every region is a single orbit and the two views agree.
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -1100,11 +1101,14 @@ def strong_odd_via_planar_detailed(
     each augmented piece facially odd with a disjoint palette, and take
     the union: a strong odd coloring of the input graph.
 
-    A piece whose facially odd search runs out of budget is colored with
-    the search's witness at hi (pfo_values holds None for it), so the
-    union stays strong odd, with more colors than an optimal piece may
-    need."""
+    budget.max_nodes caps the search of each piece, and budget.max_time
+    the whole pipeline: one deadline is taken at entry, and each piece
+    gets the time left before it.  A piece whose facially odd search
+    runs out of budget is colored with the search's witness at hi
+    (pfo_values holds None for it), so the union stays strong odd, with
+    more colors than an optimal piece may need."""
     budget = budget or Budget()
+    deadline = time.monotonic() + budget.max_time
     if max(m._component_of, default=0) != 0:
         raise MapError("pipeline input must be connected")
     pieces = decompose_claim1(m, phi)
@@ -1117,7 +1121,8 @@ def strong_odd_via_planar_detailed(
         orders.append(piece.n)
         if piece.n >= 3:
             aug = augment_claim2(piece)
-            res = chi_pfo_exact(aug, budget)
+            left = max(0.0, deadline - time.monotonic())
+            res = chi_pfo_exact(aug, Budget(budget.max_nodes, left))
             local, cnt = res.witness.colors, res.hi
             pfo.append(res.value)
         else:

@@ -39,13 +39,13 @@ search enters a depth: the colors v may take there (not blocked, at
 most 1 + the largest color used so far) form the mask of v's legal
 colors, which the search tries in ascending order.
 
-The vertex order is static, so the scopes whose last member is the
-vertex at depth pos form a mask ``closing[pos]``, built once per
-instance.  These are the scopes that rule (b) checks at that depth.
-Under EXISTS_ODD (some color odd in every scope; rule (c) does not
-apply) a closing scope must lie in ``odd_in[e]`` for some color e.
-Under ALL_ODD rule (b) is the case of rule (c) with no uncolored
-member left: a closed scope with an even color has no fixer.
+The vertex order is static, so the scopes whose last member in it is v
+form a mask ``closing[v]``, built once per instance.  These are the
+scopes that rule (b) checks when v is colored.  Under EXISTS_ODD (some
+color odd in every scope; rule (c) does not apply) a closing scope must
+lie in ``odd_in[e]`` for some color e.  Under ALL_ODD rule (b) is the
+case of rule (c) with no uncolored member left: a closed scope with an
+even color has no fixer.
 
 Coloring v with c changes a scope's counts and uncolored members only
 if v is in it, and its fixers only if it holds a neighbor of v, and
@@ -74,10 +74,14 @@ no constraint crosses a component, and a coloring of the instance is a
 coloring of each component; with one palette the colorings sit side by
 side.  run(k) allows up to k colors, so the instance is k-colorable iff
 every component is, and every parameter is the maximum over the
-components.  A connected instance is searched with the masks built
-from its own input, so its node counts and witnesses are those of one
-search.  Each component of a disconnected one is searched on its
-vertices relabeled in ascending order.
+components.  One search is built per instance, and a component is its
+vertex list in search order: run() colors just those vertices, on the
+instance's masks.  That is the search a copy of the component would
+get: the component's order is the instance's order restricted to it
+(degrees and the order of ids are its own), its scopes and neighbors
+lie inside it, and the vertices outside it stay out of ``uncolored``
+and never enter a blocked or used mask, so they take no part in any
+test.  The node counts are those of a separate search per component.
 
 The components are visited hardest clique bound first, ties to the
 smallest vertex, and each one's ascending search starts at max(its
@@ -89,15 +93,16 @@ When a component runs out of budget at k, it and every later component
 are colored greedily and not searched.  Every k from the component's
 start up to k - 1 was refuted, so the instance needs at least k: lo,
 the largest final k of the components searched, is a lower bound.  hi
-is the largest number of colors among the YES witnesses and greedy
-colorings, which the side-by-side witness uses, and the answer is
-optimal when lo == hi.
+is the number of colors of the side-by-side witness, the largest among
+the YES colorings and greedy colorings, and the answer is optimal when
+lo == hi.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .colorings import Coloring, is_strong_odd
@@ -138,7 +143,8 @@ class SolveResult:
 
     Every k below lo is refuted, by a completed search or by the clique
     lower bound.  When every component's search finds a coloring, value
-    = lo = hi, optimal is True and witness uses value colors.  When the
+    = lo = hi, optimal is True and witness uses value colors; with no
+    vertices there are no components, and value = lo = hi = 0.  When the
     budget runs out at lo, the component that gave up and every
     component after it are colored greedily on the conflict graph
     (adjacency plus every scope as a clique): proper and rainbow on
@@ -182,7 +188,8 @@ def _or(masks) -> int:
 
 class _ParitySearch:
     """The search for one instance (graph, scopes, mode); run() decides
-    one k.  The masks built here depend on the instance only."""
+    one k on one part of it.  The masks built here depend on the
+    instance only."""
 
     def __init__(self, n, adj, scopes, mode):
         self.n = n
@@ -191,7 +198,7 @@ class _ParitySearch:
         self.nbr = [_bits(a) for a in adj]
         self.smask = [_bits(s) for s in scopes]
         self.vsmask = vsmask = [0] * n
-        # closing[pos]: the scopes whose last member in the order is order[pos]
+        # closing[v]: the scopes whose last member in the order is v
         self.closing = closing = [0] * n
         rank = [0] * n
         for pos, v in enumerate(order):
@@ -200,18 +207,18 @@ class _ParitySearch:
             for v in members:
                 vsmask[v] |= 1 << sid
             if members:
-                closing[max(rank[v] for v in members)] |= 1 << sid
+                closing[max(members, key=rank.__getitem__)] |= 1 << sid
         # the scopes of v's neighbors that do not contain v
         self.others = [_or(vsmask[u] for u in a) & ~vsmask[v] for v, a in enumerate(adj)]
 
-    def clique_bound(self) -> int:
+    def clique_bound(self, part) -> int:
         """Size of the largest clique grown greedily from each of the
-        first 16 vertices of the search order, always adding the
-        candidate with the most neighbors among the candidates (ties to
-        the smaller id); a lower bound for every parameter."""
+        first 16 vertices of part, always adding the candidate with the
+        most neighbors among the candidates (ties to the smaller id); a
+        lower bound for every parameter."""
         nbr = self.nbr
         best = 1
-        for s in self.order[:16]:
+        for s in part[:16]:
             size = 1
             cand = nbr[s]
             while cand:
@@ -229,7 +236,8 @@ class _ParitySearch:
             best = max(best, size)
         return best
 
-    def _conflicts(self) -> list:
+    @cached_property
+    def conflict(self) -> list:
         """Per vertex v, the vertices that may not share v's color in a
         coloring that is proper and rainbow on every scope: v's
         neighbors and the other members of v's scopes."""
@@ -238,29 +246,34 @@ class _ParitySearch:
             for v, vs in enumerate(self.vsmask)
         ]
 
-    def components(self) -> list:
-        """The vertex bitsets of the components of the conflict
-        relation, in ascending order of their smallest vertex."""
-        conflict = self._conflicts()
-        out = []
+    def parts(self) -> list:
+        """The components of the conflict relation, each a vertex list in
+        search order, in ascending order of their smallest vertex."""
+        conflict = self.conflict
+        part_of = [0] * self.n
         left = (1 << self.n) - 1
+        count = 0
         while left:
             comp = frontier = left & -left
             while frontier:
                 frontier = _or(conflict[v] for v in _members(frontier)) & ~comp
                 comp |= frontier
-            out.append(comp)
+            for v in _members(comp):
+                part_of[v] = count
+            count += 1
             left &= ~comp
+        out = [[] for _ in range(count)]
+        for v in self.order:
+            out[part_of[v]].append(v)
         return out
 
-    def greedy(self) -> Coloring:
-        """First-fit coloring of the conflict graph, largest conflict
-        degree first: proper and rainbow on every scope, so it meets
-        every mode's parity condition."""
-        conflict = self._conflicts()
+    def greedy(self, part, color) -> None:
+        """First-fit coloring of part in the conflict graph, largest
+        conflict degree first, written into color: proper and rainbow on
+        every scope, so it meets every mode's parity condition."""
+        conflict = self.conflict
         classes = []
-        color = [0] * self.n
-        for v in sorted(range(self.n), key=lambda v: (-conflict[v].bit_count(), v)):
+        for v in sorted(part, key=lambda v: (-conflict[v].bit_count(), v)):
             for c, members in enumerate(classes):
                 if not members & conflict[v]:
                     classes[c] |= 1 << v
@@ -269,20 +282,22 @@ class _ParitySearch:
                 c = len(classes)
                 classes.append(1 << v)
             color[v] = c
-        return Coloring(tuple(color))
 
-    def run(self, k, budget: Budget, nodes_used=0, time_used=0.0) -> DecisionResult:
+    def run(self, k, budget: Budget, part, color, nodes_used=0, time_used=0.0) -> DecisionResult:
+        """Decide whether part (a union of components, as a vertex list
+        in search order) has a coloring with at most k colors.  On YES
+        the coloring is written into color at part's vertices, and the
+        result's witness is None."""
         start = time.monotonic()
         node_cap = budget.max_nodes - nodes_used
         deadline = start + max(0.0, budget.max_time - time_used)
-        n, order, nbr = self.n, self.order, self.nbr
+        n, nbr = len(part), self.nbr
         smask, vsmask, others, closing = self.smask, self.vsmask, self.others, self.closing
         check_c = self.mode == ALL_ODD and bool(smask)
         blocked = [0] * k
         used_in = [0] * k
         odd_in = [0] * k
-        uncolored = (1 << n) - 1
-        color = [0] * n
+        uncolored = _bits(part)
         # per depth: v's legal colors, those not tried yet, the largest
         # color on earlier vertices, and blocked[c] and used_in[c] before
         # the assignment; depth 0 may only take color 0
@@ -294,7 +309,7 @@ class _ParitySearch:
         nodes = 0
         pos = 0
         while pos < n:
-            v = order[pos]
+            v = part[pos]
             cand = todo[pos]
             if cand:
                 low = cand & -cand
@@ -340,14 +355,14 @@ class _ParitySearch:
                                 pruned = True
                                 break
                             even ^= low
-                elif closing[pos]:
+                elif closing[v]:
                     # rule (b) under EXISTS_ODD: a closed scope needs an odd color
-                    pruned = bool(closing[pos] & ~_or(odd_in))
+                    pruned = bool(closing[v] & ~_or(odd_in))
                 if not pruned:
                     pos += 1
                     if pos < n:
                         t = top[pos] = c if c > top[pos - 1] else top[pos - 1]
-                        u = order[pos]
+                        u = part[pos]
                         free = 0
                         for e in range(min(t + 2, k)):  # rule (a)
                             if not blocked[e] >> u & 1:
@@ -358,51 +373,18 @@ class _ParitySearch:
                 return DecisionResult(NO, None, nodes, time.monotonic() - start)
             else:
                 pos -= 1
-                v = order[pos]
+                v = part[pos]
                 c = color[v]
             # undo v := c at depth pos
             uncolored |= 1 << v
             blocked[c] = saved_blocked[pos]
             used_in[c] = saved_used[pos]
             odd_in[c] ^= vsmask[v]
-        return DecisionResult(
-            YES, Coloring(tuple(color)), nodes, time.monotonic() - start
-        )
+        return DecisionResult(YES, None, nodes, time.monotonic() - start)
 
 
 def _strong_odd_scopes(g: Graph):
     return [tuple(sorted(g.adj[v])) for v in range(g.n)]
-
-
-def _parts(n, adj, scopes, mode) -> list:
-    """(vertices, search, clique bound) per component of the conflict
-    relation, hardest clique bound first, ties to the smallest vertex.
-    A connected instance keeps the search built from its own input; a
-    component is searched on its vertices relabeled in ascending order,
-    with its scopes in their original order and empty scopes dropped."""
-    whole = _ParitySearch(n, adj, scopes, mode)
-    comps = whole.components()
-    if len(comps) == 1:
-        searches = [(range(n), whole)]
-    else:
-        comps = [list(_members(comp)) for comp in comps]
-        part_of = [0] * n
-        index = [0] * n
-        for p, verts in enumerate(comps):
-            for i, v in enumerate(verts):
-                part_of[v], index[v] = p, i
-        part_scopes = [[] for _ in comps]
-        for s in scopes:
-            if s:
-                part_scopes[part_of[s[0]]].append([index[u] for u in s])
-        searches = [
-            (verts, _ParitySearch(len(verts), [[index[u] for u in adj[v]] for v in verts],
-                                  sc, mode))
-            for verts, sc in zip(comps, part_scopes)
-        ]
-    parts = [(verts, search, search.clique_bound()) for verts, search in searches]
-    parts.sort(key=lambda part: -part[2])  # stable: components come smallest vertex first
-    return parts
 
 
 def is_k_strong_odd_colorable(
@@ -417,51 +399,49 @@ def is_k_strong_odd_colorable(
     start = time.monotonic()
     nodes = 0
     color = [0] * g.n
-    for verts, search, _ in _parts(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD):
-        res = search.run(k, budget, nodes, time.monotonic() - start)
+    search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
+    for part in search.parts():
+        res = search.run(k, budget, part, color, nodes, time.monotonic() - start)
         nodes += res.nodes_explored
         if res.status != YES:
             return DecisionResult(res.status, None, nodes, time.monotonic() - start)
-        for v, c in zip(verts, res.witness.colors):
-            color[v] = c
     return DecisionResult(YES, Coloring(tuple(color)), nodes, time.monotonic() - start)
 
 
 def _solve(n, adj, scopes, mode, budget) -> SolveResult:
-    """Ascending-k search per component from max(its clique bound, the
-    best value certified so far) to its first feasible k; the witnesses
-    sit side by side on one palette.  A budget that runs out leaves the
-    bracket lo..hi, with greedy witnesses for the component that gave up
-    and every component after it."""
+    """Ascending-k search per component, hardest clique bound first,
+    from max(its clique bound, the best value certified so far) to its
+    first feasible k; the colorings sit side by side on one palette.  A
+    budget that runs out leaves the bracket lo..hi, with greedy
+    colorings for the component that gave up and every component after
+    it.  No components (n = 0) give lo = hi = 0."""
     budget = budget or Budget()
-    if n == 0:
-        return SolveResult(0, Coloring(()), True, 0, 0.0, 0, 0)
     start = time.monotonic()
     nodes = 0
     color = [0] * n
-    lo = hi = 0
+    lo = 0
     gave_up = False
-    for verts, search, bound in _parts(n, adj, scopes, mode):
-        if gave_up:
-            phi = search.greedy()
-        else:
+    search = _ParitySearch(n, adj, scopes, mode)
+    parts = [(search.clique_bound(part), part) for part in search.parts()]
+    parts.sort(key=lambda bp: -bp[0])  # stable: components come smallest vertex first
+    for bound, part in parts:
+        if not gave_up:
             lo = max(bound, lo)
             while True:
-                res = search.run(lo, budget, nodes, time.monotonic() - start)
+                res = search.run(lo, budget, part, color, nodes, time.monotonic() - start)
                 nodes += res.nodes_explored
                 if res.status != NO:
                     break
-                if lo >= search.n:
+                if lo >= len(part):
                     raise AssertionError("search exceeded the trivial upper bound")
                 lo += 1
             gave_up = res.status == UNKNOWN
-            phi = search.greedy() if gave_up else res.witness
-        hi = max(hi, phi.k)
-        for v, c in zip(verts, phi.colors):
-            color[v] = c
-    optimal = lo == hi
-    return SolveResult(lo if optimal else None, Coloring(tuple(color)), optimal,
-                       nodes, time.monotonic() - start, lo, hi)
+        if gave_up:
+            search.greedy(part, color)
+    witness = Coloring(tuple(color))
+    optimal = lo == witness.k
+    return SolveResult(lo if optimal else None, witness, optimal,
+                       nodes, time.monotonic() - start, lo, witness.k)
 
 
 def chi_so_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:

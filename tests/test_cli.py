@@ -39,6 +39,15 @@ def test_solve_decision_mode(tmp_path, capsys):
     assert json.loads(out)["status"] == "no"
 
 
+def test_solve_decision_on_the_empty_graph(tmp_path, capsys):
+    gpath = tmp_path / "empty.json"
+    gpath.write_text(json.dumps({"n": 0, "edges": []}))
+    code, out = run(capsys, "solve", "--graph", str(gpath), "--param", "so", "--k", "1")
+    assert code == 0
+    res = json.loads(out)
+    assert (res["status"], res["witness"], res["nodes"]) == ("yes", [], 0)
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     gpath = tmp_path / "c4.json"
     save_json(make_cycle(4), gpath)

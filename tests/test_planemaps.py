@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -461,3 +462,13 @@ def test_pipeline_random_corpus():
     assert is_strong_odd(pm.underlying, res.coloring) == []
     assert any(v is None for n, v in zip(res.piece_orders, res.pfo_values) if n >= 3)
     assert res.coloring.k <= phi.k * max(res.piece_color_counts)
+
+
+def test_pipeline_time_budget_caps_the_whole_pipeline():
+    # every piece used to get the whole second: about 4 s in all
+    pm = random_planar_map(400, random.Random(2))
+    phi = chi_exact(pm.underlying, Budget(max_nodes=10_000)).witness
+    start = time.monotonic()
+    res = strong_odd_via_planar_detailed(pm, phi, Budget(max_time=1))
+    assert time.monotonic() - start < 2.5
+    assert is_strong_odd(pm.underlying, res.coloring) == []

@@ -181,13 +181,15 @@ def test_engine_decisions_are_pinned():
     # at 1, 37 and 1,000 nodes, keeps its status, node count and witness
     h = hashlib.sha256()
     for n, adj, scopes, mode in _engine_instances():
+        # the whole instance as one part, components and all
         search = _ParitySearch(n, adj, scopes, mode)
-        k = search.clique_bound()
+        whole, color = search.order, [0] * n
+        k = search.clique_bound(whole)
         last = n
         while k <= last:
             for cap in (1, 37, 1000, 5000):
-                r = search.run(k, Budget(max_nodes=cap))
-                colors = r.witness.colors if r.witness else None
+                r = search.run(k, Budget(max_nodes=cap), whole, color)
+                colors = tuple(color) if r.status == "yes" else None
                 h.update(repr((k, cap, r.status, r.nodes_explored, colors)).encode())
             if r.status != "no":
                 last = min(last, k + 1)
@@ -325,3 +327,31 @@ def test_decisions_on_a_union():
     assert res.status == "yes"
     assert is_strong_odd(g, res.witness) == [] and res.witness.k <= 5
     assert is_k_strong_odd_colorable(g, 5, Budget(max_nodes=4)).status == "unknown"
+
+
+@pytest.mark.parametrize("solve", [
+    chi_so_exact, chi_exact, chi_odd_exact, chi_square_exact,
+    lambda g: solve_parity_system(g.n, g.adj, []),
+])
+def test_the_empty_graph(solve):
+    res = solve(Graph(0, frozenset()))
+    assert (res.value, res.optimal, res.lo, res.hi) == (0, True, 0, 0)
+    assert (res.witness.colors, res.nodes_explored) == ((), 0)
+    res = is_k_strong_odd_colorable(Graph(0, frozenset()), 1)
+    assert (res.status, res.witness.colors, res.nodes_explored) == ("yes", (), 0)
+
+
+def test_one_search_per_instance(monkeypatch):
+    built = []
+    init = _ParitySearch.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(_ParitySearch, "__init__", counting_init)
+    g = disjoint_union(make_path(4), make_cycle(5), make_complete(3))
+    assert chi_so_exact(g).value == 5
+    assert built == [g.n]
+    assert is_k_strong_odd_colorable(g, 5).status == "yes"
+    assert built == [g.n, g.n]
