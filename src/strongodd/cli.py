@@ -138,11 +138,10 @@ _SOLVERS = {
 
 def cmd_solve(args) -> int:
     g = load_json(args.graph)
-    budget = solver.Budget(max_nodes=args.max_nodes, max_time=args.max_time)
     if args.k is not None:
         if args.param != "so":
             raise SystemExit("decision mode (--k) is available for --param so")
-        res = solver.is_k_strong_odd_colorable(g, args.k, budget)
+        res = solver.is_k_strong_odd_colorable(g, args.k, args.budget)
         out = {
             "k": args.k,
             "status": res.status,
@@ -152,7 +151,7 @@ def cmd_solve(args) -> int:
         }
         _emit(out, args.format)
         return 0 if res.status != "unknown" else 1
-    res = _SOLVERS[args.param](g, budget)
+    res = _SOLVERS[args.param](g, args.budget)
     out = {
         "value": res.value,
         "optimal": res.optimal,
@@ -205,19 +204,18 @@ def cmd_color(args) -> int:
     elif args.method == "product":
         left = load_json(args.left)
         right = load_json(args.right)
-        budget = solver.Budget(max_time=args.max_time)
-        phi_l = _optimal_factor_coloring("left", left, budget)
+        phi_l = _optimal_factor_coloring("left", left, args.budget)
         if phi_l is None:
             return 1
         if args.kind == "lexicographic":
             apex = _optimal_factor_coloring(
-                "right (with apex)", join(make_complete(1), right), budget
+                "right (with apex)", join(make_complete(1), right), args.budget
             )
             if apex is None:
                 return 1
             phi = constructive.compose_lexicographic(left, phi_l, right, apex)
         else:
-            phi_r = _optimal_factor_coloring("right", right, budget)
+            phi_r = _optimal_factor_coloring("right", right, args.budget)
             if phi_r is None:
                 return 1
             phi = constructive.compose_product_coloring(
@@ -277,8 +275,7 @@ def cmd_plane(args) -> int:
         out = planemaps.map_to_json_dict(planemaps.augment_claim2(m))
     elif args.action == "pipeline":
         phi = load_coloring(args.coloring)
-        budget = solver.Budget(max_time=args.max_time)
-        res = planemaps.strong_odd_via_planar_detailed(m, phi, budget)
+        res = planemaps.strong_odd_via_planar_detailed(m, phi, args.budget)
         out = {
             "colors": list(res.coloring.colors),
             "piece_orders": list(res.piece_orders),
@@ -352,9 +349,7 @@ def run_gallery(budget: solver.Budget) -> GalleryReport:
 
 
 def cmd_gallery(args) -> int:
-    budget = solver.Budget(max_nodes=args.max_nodes, max_time=args.max_time)
-    if args.extended:
-        budget = solver.Budget(max_nodes=10**9, max_time=1800.0)
+    budget = solver.Budget(max_nodes=10**9, max_time=1800.0) if args.extended else args.budget
     report = run_gallery(budget)
     _emit({"rows": report.rows, "pass": report.passed}, args.format)
     return 0 if report.passed else 1
@@ -435,6 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fmt(p):
         p.add_argument("--format", choices=["json", "table"], default="json")
 
+    def add_budget(p, nodes=True):
+        if nodes:
+            p.add_argument("--max-nodes", type=int, default=solver.Budget.max_nodes)
+        p.add_argument("--max-time", type=float, default=solver.Budget.max_time)
+
     p = sub.add_parser("gen", help="generate a named graph family")
     p.add_argument("--family", required=True,
                    choices=["path", "cycle", "complete", "star",
@@ -458,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=list(_SOLVERS), default="so")
     p.add_argument("--k", type=int, default=None,
                    help="decide a single k instead of minimizing")
-    p.add_argument("--max-nodes", type=int, default=10**8)
-    p.add_argument("--max-time", type=float, default=60.0)
+    add_budget(p)
     add_fmt(p)
     p.set_defaults(func=cmd_solve)
 
@@ -477,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "lexicographic"], default="cartesian")
     p.add_argument("--left")
     p.add_argument("--right")
-    p.add_argument("--max-time", type=float, default=60.0)
+    add_budget(p, nodes=False)
     add_fmt(p)
     p.set_defaults(func=cmd_color)
 
@@ -495,13 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--vertex", type=int, default=0)
     p.add_argument("--coloring")
-    p.add_argument("--max-time", type=float, default=60.0)
+    add_budget(p, nodes=False)
     add_fmt(p)
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("gallery", help="certify the named extremal graphs")
-    p.add_argument("--max-nodes", type=int, default=10**8)
-    p.add_argument("--max-time", type=float, default=60.0)
+    add_budget(p)
     p.add_argument("--extended", action="store_true",
                    help="use the long certification budget (30 minutes)")
     add_fmt(p)
@@ -523,9 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name in ("max_nodes", "max_time"):
-            if not getattr(args, name, 0) >= 0:  # also rejects nan
-                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
+        # the subcommand's budget options, checked by Budget itself
+        args.budget = solver.Budget(**{
+            name: getattr(args, name) for name in ("max_nodes", "max_time") if name in vars(args)
+        })
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

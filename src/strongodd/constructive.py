@@ -23,16 +23,12 @@ class ConstructionError(ValueError):
 
 @dataclass
 class ProvenanceLog:
-    """Case decisions plus an elementary-operation counter."""
+    """The case decisions a construction took."""
 
     events: list[str] = field(default_factory=list)
-    steps: int = 0
 
     def note(self, msg: str) -> None:
         self.events.append(msg)
-
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,7 @@ def is_odd_tree(t: Graph) -> bool:
 
 
 def _color_below_root_children(
-    adj, parent: Sequence[int], order: Sequence[int], colors, avoid: Sequence[int],
-    log: ProvenanceLog,
+    adj, parent: Sequence[int], order: Sequence[int], colors, avoid: Sequence[int]
 ) -> None:
     """Color the children of each vertex of order, parents first.  The
     palette at v is 0..3 without avoid[v].  An even set of children
@@ -80,7 +75,6 @@ def _color_below_root_children(
     parent's."""
     for v in order:
         children = [u for u in adj[v] if parent[u] == v]
-        log.tick()
         if not children:
             continue
         pc = colors[parent[v]]
@@ -88,7 +82,6 @@ def _color_below_root_children(
             colors[u] = pc
         if len(children) % 2:
             colors[min(children)] = min({0, 1, 2, 3} - {avoid[v], colors[v], pc})
-        log.tick(len(children))
 
 
 def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
@@ -104,23 +97,18 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     plan = plan_rooted_tree(t)
     colors = [-1] * t.n
     colors[plan.root] = 0
-    log.tick()
     root_nbrs = sorted(t.adj[plan.root])
     if len(root_nbrs) % 2 == 1:
         for u in root_nbrs:
             colors[u] = 1
-            log.tick()
         log.note(f"root {plan.root}: odd degree, monochromatic neighborhood")
     elif root_nbrs:
         colors[root_nbrs[0]] = 2
         for u in root_nbrs[1:]:
             colors[u] = 1
-        log.tick(len(root_nbrs))
         log.note(f"root {plan.root}: even degree, one neighbor recolored")
     # palette 0..2 everywhere
-    _color_below_root_children(
-        t.adj, plan.parent, plan.bfs_order[1:], colors, (3,) * t.n, log
-    )
+    _color_below_root_children(t.adj, plan.parent, plan.bfs_order[1:], colors, (3,) * t.n)
     return Coloring(tuple(colors))
 
 
@@ -145,7 +133,6 @@ def color_cycle(n: int, log: Optional[ProvenanceLog] = None) -> Coloring:
     """Strong odd coloring of the cycle on vertices 0..n-1 in cycle order."""
     log = log if log is not None else ProvenanceLog()
     pat = cycle_pattern(n)
-    log.tick(n)
     log.note(f"cycle {n}: {max(pat) + 1} colors")
     return Coloring(pat)
 
@@ -229,7 +216,6 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
         ring, pat = cyc, cycle_pattern(nc)
     for v, c in zip(ring, pat):
         colors[v] = c
-    log.tick(nc)
     if not dec.pendant_roots:
         log.note(f"bare cycle of length {nc}")
         return Coloring(tuple(colors))
@@ -260,7 +246,6 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
                 for r in roots:
                     colors[r] = fourth
                 log.note(f"cycle vertex {a}: odd pendant set in a fresh color")
-        log.tick(len(roots))
 
     # Pendant trees: the palette of a tree is 0..3 without the color of
     # its cycle vertex.  An even set of root children splits into two odd
@@ -275,15 +260,12 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     nroots = sum(len(roots) for roots in dec.pendant_roots.values())
     for r in dec.forest_order[:nroots]:
         children = [u for u in sorted(g.adj[r]) if parent[u] == r]
-        log.tick(1 + len(children))
         others = sorted({0, 1, 2, 3} - {avoid[r], colors[r]})
         for u in children:
             colors[u] = others[0]
         if children and len(children) % 2 == 0:
             colors[children[-1]] = others[1]
-    _color_below_root_children(
-        g.adj, parent, dec.forest_order[nroots:], colors, avoid, log
-    )
+    _color_below_root_children(g.adj, parent, dec.forest_order[nroots:], colors, avoid)
     return Coloring(tuple(colors))
 
 

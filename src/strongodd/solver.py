@@ -87,14 +87,15 @@ The components are visited hardest clique bound first, ties to the
 smallest vertex, and each one's ascending search starts at max(its
 clique bound, the best value so far) and stops at its first YES: k below
 the best value cannot change the maximum, and a YES there only shows
-that the component needs no more.  One node count and one elapsed time
-run across all components, through run()'s nodes_used and time_used.
-When a component runs out of budget at k, it and every later component
-are colored greedily and not searched.  Every k from the component's
-start up to k - 1 was refuted, so the instance needs at least k: lo,
-the largest final k of the components searched, is a lower bound.  hi
-is the number of colors of the side-by-side witness, the largest among
-the YES colorings and greedy colorings, and the answer is optimal when
+that the component needs no more.  One node count and one deadline run
+across all components: the deadline is taken once per solve or
+decision, and every run() gets the nodes left and that deadline.  When
+a component runs out of budget at k, it and every later component are
+colored greedily and not searched.  Every k from the component's start
+up to k - 1 was refuted, so the instance needs at least k: lo, the
+largest final k of the components searched, is a lower bound.  hi is
+the number of colors of the side-by-side witness, the largest among the
+YES colorings and greedy colorings, and the answer is optimal when
 lo == hi.
 """
 
@@ -118,7 +119,13 @@ UNKNOWN = "unknown"
 
 @dataclass
 class Budget:
-    """Search limits; exceeding either aborts with status "unknown"."""
+    """Search limits; exceeding either aborts with status "unknown".
+
+    A solve or decision takes its deadline, max_time seconds ahead, once
+    at entry.  The search reads the clock at the first node of every
+    run and then every 4,096 nodes, so max_time=0 stops at the first
+    node, and a sequence of searches overruns the deadline by at most
+    one probe interval."""
 
     max_nodes: int = 10**8
     max_time: float = 60.0
@@ -283,14 +290,15 @@ class _ParitySearch:
                 classes.append(1 << v)
             color[v] = c
 
-    def run(self, k, budget: Budget, part, color, nodes_used=0, time_used=0.0) -> DecisionResult:
+    def run(self, k, part, color, node_cap, deadline) -> tuple:
         """Decide whether part (a union of components, as a vertex list
-        in search order) has a coloring with at most k colors.  On YES
-        the coloring is written into color at part's vertices, and the
-        result's witness is None."""
-        start = time.monotonic()
-        node_cap = budget.max_nodes - nodes_used
-        deadline = start + max(0.0, budget.max_time - time_used)
+        in search order) has a coloring with at most k colors, within
+        node_cap nodes and the time.monotonic() deadline (probed at node
+        1 and every 4,096 nodes).  Returns (status, nodes); on YES the
+        coloring is written into color at part's vertices."""
+        # a canonical coloring of part never uses more colors than part
+        # has vertices, so the state needs no more than that
+        k = min(k, len(part))
         n, nbr = len(part), self.nbr
         smask, vsmask, others, closing = self.smask, self.vsmask, self.others, self.closing
         check_c = self.mode == ALL_ODD and bool(smask)
@@ -317,9 +325,9 @@ class _ParitySearch:
                 c = low.bit_length() - 1
                 nodes += 1
                 if nodes > node_cap or (
-                    nodes % 4096 == 0 and time.monotonic() > deadline
+                    nodes & 4095 == 1 and time.monotonic() >= deadline
                 ):
-                    return DecisionResult(UNKNOWN, None, nodes, time.monotonic() - start)
+                    return UNKNOWN, nodes
                 vs = vsmask[v]
                 color[v] = c
                 uncolored ^= 1 << v
@@ -370,7 +378,7 @@ class _ParitySearch:
                         legal[pos] = todo[pos] = free
                     continue
             elif pos == 0:
-                return DecisionResult(NO, None, nodes, time.monotonic() - start)
+                return NO, nodes
             else:
                 pos -= 1
                 v = part[pos]
@@ -380,7 +388,7 @@ class _ParitySearch:
             blocked[c] = saved_blocked[pos]
             used_in[c] = saved_used[pos]
             odd_in[c] ^= vsmask[v]
-        return DecisionResult(YES, None, nodes, time.monotonic() - start)
+        return YES, nodes
 
 
 def _strong_odd_scopes(g: Graph):
@@ -397,15 +405,17 @@ def is_k_strong_odd_colorable(
         raise ValueError("k must be positive")
     budget = budget or Budget()
     start = time.monotonic()
-    nodes = 0
+    deadline = start + budget.max_time
+    status, nodes = YES, 0
     color = [0] * g.n
     search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
     for part in search.parts():
-        res = search.run(k, budget, part, color, nodes, time.monotonic() - start)
-        nodes += res.nodes_explored
-        if res.status != YES:
-            return DecisionResult(res.status, None, nodes, time.monotonic() - start)
-    return DecisionResult(YES, Coloring(tuple(color)), nodes, time.monotonic() - start)
+        status, used = search.run(k, part, color, budget.max_nodes - nodes, deadline)
+        nodes += used
+        if status != YES:
+            break
+    witness = Coloring(tuple(color)) if status == YES else None
+    return DecisionResult(status, witness, nodes, time.monotonic() - start)
 
 
 def _solve(n, adj, scopes, mode, budget) -> SolveResult:
@@ -417,6 +427,7 @@ def _solve(n, adj, scopes, mode, budget) -> SolveResult:
     it.  No components (n = 0) give lo = hi = 0."""
     budget = budget or Budget()
     start = time.monotonic()
+    deadline = start + budget.max_time
     nodes = 0
     color = [0] * n
     lo = 0
@@ -428,14 +439,14 @@ def _solve(n, adj, scopes, mode, budget) -> SolveResult:
         if not gave_up:
             lo = max(bound, lo)
             while True:
-                res = search.run(lo, budget, part, color, nodes, time.monotonic() - start)
-                nodes += res.nodes_explored
-                if res.status != NO:
+                status, used = search.run(lo, part, color, budget.max_nodes - nodes, deadline)
+                nodes += used
+                if status != NO:
                     break
                 if lo >= len(part):
                     raise AssertionError("search exceeded the trivial upper bound")
                 lo += 1
-            gave_up = res.status == UNKNOWN
+            gave_up = status == UNKNOWN
         if gave_up:
             search.greedy(part, color)
     witness = Coloring(tuple(color))

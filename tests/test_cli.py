@@ -227,6 +227,8 @@ def test_malformed_graph_and_coloring_exit_2(tmp_path, capsys):
     ["gallery", "--max-nodes", "-1"],
     ["gallery", "--max-time", "-1"],
     ["solve", "--graph", "{g}", "--max-time", "nan"],
+    ["plane", "trace", "--map", "{m}", "--max-time", "-1"],
+    ["color", "--method", "cycle", "--n", "5", "--max-time", "-1"],
 ])
 def test_negative_budget_exits_2(tmp_path, capsys, argv):
     paths = {"g": tmp_path / "c4.json", "m": tmp_path / "c4map.json",

@@ -6,7 +6,6 @@ import pytest
 from strongodd.colorings import Coloring, is_strong_odd, neighborhood_histogram
 from strongodd.constructive import (
     ConstructionError,
-    ProvenanceLog,
     c5_box_c5_table,
     color_cycle,
     color_direct_complete,
@@ -181,18 +180,6 @@ def test_color_unicyclic_random_corpus():
         dec = decompose_unicyclic(g)
         cap = 5 if (len(dec.cycle) == 5 and not dec.pendant_roots) else 4
         assert phi.k <= cap
-
-
-def test_linear_time_step_counters():
-    rng = random.Random(3)
-    t = random_tree(400, rng)
-    log = ProvenanceLog()
-    color_tree(t, log)
-    assert log.steps <= 10 * t.n
-    g = random_unicyclic(400, rng)
-    log = ProvenanceLog()
-    color_unicyclic(g, log)
-    assert log.steps <= 10 * g.n
 
 
 def test_compose_product_coloring_bounds():

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +18,7 @@ from strongodd.graphs import (
     product,
     square,
 )
-from strongodd.planemaps import augment_claim2, decompose_claim1
+from strongodd.planemaps import augment_claim2, chi_pfo_exact, decompose_claim1
 from strongodd.solver import (
     ALL_ODD,
     EXISTS_ODD,
@@ -188,10 +190,10 @@ def test_engine_decisions_are_pinned():
         last = n
         while k <= last:
             for cap in (1, 37, 1000, 5000):
-                r = search.run(k, Budget(max_nodes=cap), whole, color)
-                colors = tuple(color) if r.status == "yes" else None
-                h.update(repr((k, cap, r.status, r.nodes_explored, colors)).encode())
-            if r.status != "no":
+                status, nodes = search.run(k, whole, color, cap, math.inf)
+                colors = tuple(color) if status == "yes" else None
+                h.update(repr((k, cap, status, nodes, colors)).encode())
+            if status != "no":
                 last = min(last, k + 1)
             k += 1
     assert h.hexdigest()[:16] == "f01d797e7e5a61d8"
@@ -236,6 +238,43 @@ def test_budget_exhaustion_brackets_with_a_valid_witness(solve, verify):
 def test_budget_rejects_negative_and_nan(field, value):
     with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
         Budget(**{field: value})
+
+
+# the clock is read at the first node of every run, so a search, a
+# component or a piece started at or after the deadline stops there
+
+
+def test_a_zero_time_solve_stops_at_the_first_node():
+    g = random_graph(30, 0.3, random.Random(1))
+    res = chi_so_exact(g, Budget(max_time=0))
+    assert res.nodes_explored == 1 and res.lo <= res.hi
+    assert res.value is None and is_strong_odd(g, res.witness) == []
+
+
+def test_a_zero_time_decision_stops_at_the_first_node():
+    g = random_graph(30, 0.3, random.Random(1))
+    res = is_k_strong_odd_colorable(g, 20, Budget(max_time=0))
+    assert (res.status, res.nodes_explored) == ("unknown", 1)
+
+
+def test_a_zero_time_facially_odd_search_stops_at_the_first_node():
+    pm = random_planar_map(20, random.Random("engine:pfo:20"))
+    pieces = decompose_claim1(pm, chi_exact(pm.underlying).witness)
+    aug = augment_claim2(max(pieces, key=lambda q: q.n))
+    assert chi_pfo_exact(aug, Budget(max_time=0)).nodes_explored == 1
+
+
+def test_a_huge_k_allocates_for_the_part_not_for_k():
+    g = make_cycle(7)
+    tracemalloc.start()
+    try:
+        res = is_k_strong_odd_colorable(g, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert res.status == "yes"
+    assert res.witness == is_k_strong_odd_colorable(g, 7).witness
 
 
 def test_greedy_witness_at_the_lower_bound_is_optimal():
