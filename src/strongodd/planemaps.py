@@ -1092,6 +1092,7 @@ class PipelineResult:
     piece_orders: tuple[int, ...]
     piece_color_counts: tuple[int, ...]
     pfo_values: tuple[Optional[int], ...]
+    nodes_explored: int  # over the facially odd searches of all pieces
 
 
 def strong_odd_via_planar_detailed(
@@ -1117,6 +1118,7 @@ def strong_odd_via_planar_detailed(
     orders = []
     counts = []
     pfo = []
+    nodes = 0
     for piece in pieces:
         orders.append(piece.n)
         if piece.n >= 3:
@@ -1125,6 +1127,7 @@ def strong_odd_via_planar_detailed(
             res = chi_pfo_exact(aug, Budget(budget.max_nodes, left))
             local, cnt = res.witness.colors, res.hi
             pfo.append(res.value)
+            nodes += res.nodes_explored
         else:
             pfo.append(None)
             if piece.n == 2 and piece.m:
@@ -1142,7 +1145,7 @@ def strong_odd_via_planar_detailed(
     bad = is_strong_odd(m.underlying, coloring)
     if bad:
         raise AssertionError(f"pipeline produced an invalid coloring: {bad[0]}")
-    return PipelineResult(coloring, tuple(orders), tuple(counts), tuple(pfo))
+    return PipelineResult(coloring, tuple(orders), tuple(counts), tuple(pfo), nodes)
 
 
 def strong_odd_via_planar(

@@ -83,15 +83,32 @@ lie inside it, and the vertices outside it stay out of ``uncolored``
 and never enter a blocked or used mask, so they take no part in any
 test.  The node counts are those of a separate search per component.
 
-The components are visited hardest clique bound first, ties to the
+Each component's lower bound is max(its clique bound, its implied
+clique bound).  The clique bound is a clique grown greedily in the
+graph.  Under ALL_ODD each color class inside a scope is an independent
+set of odd size, so in a scope whose induced graph has no independent
+triple every class has one vertex: the scope is rainbow in every
+solution, and its missing pairs are edges of every solution.  Adding
+them and repeating on the larger graph until no scope fires gives the
+implied graph; every solution is a proper coloring of it, so the same
+greedy clique grown there is a lower bound too.  More edges never
+create an independent triple, so the fixpoint does not depend on the
+order in which scopes are examined.  Only where the search starts
+moves: the order, the masks and run() use the input graph, so every k
+that is still searched makes the same nodes and the same witness.
+EXISTS_ODD and instances without scopes imply no edges.
+
+The components are visited highest lower bound first, ties to the
 smallest vertex, and each one's ascending search starts at max(its
-clique bound, the best value so far) and stops at its first YES: k below
+lower bound, the best value so far) and stops at its first YES: k below
 the best value cannot change the maximum, and a YES there only shows
-that the component needs no more.  One node count and one deadline run
-across all components: the deadline is taken once per solve or
-decision, and every run() gets the nodes left and that deadline.  When
-a component runs out of budget at k, it and every later component are
-colored greedily and not searched.  Every k from the component's start
+that the component needs no more.  A decision at k first takes every
+component's lower bound, and answers NO without a search when one of
+them exceeds k.  One node count and one deadline run across all
+components: the deadline is taken once per solve or decision, and
+every run() gets the nodes left and that deadline.  When a component
+runs out of budget at k, it and every later component are colored
+greedily and not searched.  Every k from the component's start
 up to k - 1 was refuted, so the instance needs at least k: lo, the
 largest final k of the components searched, is a lower bound.  hi is
 the number of colors of the side-by-side witness, the largest among the
@@ -148,15 +165,15 @@ class DecisionResult:
 class SolveResult:
     """Outcome of an ascending-k exact solve.
 
-    Every k below lo is refuted, by a completed search or by the clique
-    lower bound.  When every component's search finds a coloring, value
-    = lo = hi, optimal is True and witness uses value colors; with no
-    vertices there are no components, and value = lo = hi = 0.  When the
-    budget runs out at lo, the component that gave up and every
-    component after it are colored greedily on the conflict graph
-    (adjacency plus every scope as a clique): proper and rainbow on
-    every scope, so the witness satisfies the parameter with hi =
-    witness.k colors.  value is then None and optimal False, unless hi
+    Every k below lo is refuted, by a completed search or by the lower
+    bound, max(clique bound, implied clique bound).  When every
+    component's search finds a coloring, value = lo = hi, optimal is
+    True and witness uses value colors; with no vertices there are no
+    components, and value = lo = hi = 0.  When the budget runs out at
+    lo, the component that gave up and every component after it are
+    colored greedily on the conflict graph (adjacency plus every scope
+    as a clique): proper and rainbow on every scope, so the witness
+    satisfies the parameter with hi = witness.k colors.  value is then None and optimal False, unless hi
     equals lo, which makes the witness optimal.
     """
 
@@ -193,6 +210,44 @@ def _or(masks) -> int:
     return out
 
 
+def _greedy_clique(nbr, part) -> int:
+    """Size of the largest clique grown greedily from each of the first
+    16 vertices of part, always adding the candidate with the most
+    neighbors among the candidates (ties to the smaller id)."""
+    best = 1
+    for s in part[:16]:
+        size = 1
+        cand = nbr[s]
+        while cand:
+            pick, most = -1, -1
+            rest = cand
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                d = (nbr[x] & cand).bit_count()
+                if d > most:
+                    pick, most = x, d
+                rest ^= low
+            size += 1
+            cand &= nbr[pick]
+        best = max(best, size)
+    return best
+
+
+def _has_independent_triple(nbr, s, members) -> bool:
+    """Whether the vertex set s (members, ascending) holds three
+    pairwise nonadjacent vertices."""
+    for u in members:
+        # the non-neighbors of u in s above u, ascending
+        rest = s & ~nbr[u] & -(2 << u)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rest & ~nbr[low.bit_length() - 1]:
+                return True
+    return False
+
+
 class _ParitySearch:
     """The search for one instance (graph, scopes, mode); run() decides
     one k on one part of it.  The masks built here depend on the
@@ -203,6 +258,7 @@ class _ParitySearch:
         self.mode = mode
         self.order = order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
         self.nbr = [_bits(a) for a in adj]
+        self.scopes = scopes
         self.smask = [_bits(s) for s in scopes]
         self.vsmask = vsmask = [0] * n
         # closing[v]: the scopes whose last member in the order is v
@@ -220,28 +276,76 @@ class _ParitySearch:
 
     def clique_bound(self, part) -> int:
         """Size of the largest clique grown greedily from each of the
-        first 16 vertices of part, always adding the candidate with the
-        most neighbors among the candidates (ties to the smaller id); a
-        lower bound for every parameter."""
-        nbr = self.nbr
-        best = 1
-        for s in part[:16]:
-            size = 1
-            cand = nbr[s]
-            while cand:
-                pick, most = -1, -1
-                rest = cand
-                while rest:
-                    low = rest & -rest
-                    x = low.bit_length() - 1
-                    d = (nbr[x] & cand).bit_count()
-                    if d > most:
-                        pick, most = x, d
-                    rest ^= low
-                size += 1
-                cand &= nbr[pick]
-            best = max(best, size)
-        return best
+        first 16 vertices of part in the graph; a lower bound for every
+        parameter."""
+        return _greedy_clique(self.nbr, part)
+
+    @cached_property
+    def rainbow(self) -> tuple:
+        """(fired, edges, implied): the rainbow scopes, the edges they
+        imply and the graph closed under them.
+
+        Under ALL_ODD a scope with no independent triple in the graph is
+        rainbow in every solution, so its missing pairs are edges of
+        every solution; the rule is applied again on the larger graph
+        until nothing changes.  fired lists the scopes that added edges,
+        in the order they did; edges lists each added pair (u, v), u < v,
+        in the order it was added; implied is nbr with those edges.
+        Other modes, and instances without scopes, imply nothing."""
+        if self.mode != ALL_ODD:
+            return [], [], self.nbr
+        nbr = list(self.nbr)
+        fired, edges = [], []
+        scopes, smask, vsmask = self.scopes, self.smask, self.vsmask
+        # scopes of at most one vertex have no pair to add
+        queued = [bool(s & (s - 1)) for s in smask]
+        work = [sid for sid, q in enumerate(queued) if q]
+        i = 0
+        while i < len(work):
+            sid = work[i]
+            i += 1
+            queued[sid] = False
+            s = smask[sid]
+            members = sorted(set(scopes[sid]))
+            size = len(members)
+            twice_inside = 0
+            for v in members:
+                twice_inside += (nbr[v] & s).bit_count()
+            missing = size * (size - 1) // 2 - twice_inside // 2
+            # Mantel: without an independent triple the missing pairs are
+            # triangle-free, so there are at most size**2 // 4 of them
+            if not missing or missing > size * size // 4:
+                continue
+            if size > 2 and _has_independent_triple(nbr, s, members):
+                continue
+            fired.append(sid)
+            for j, u in enumerate(members):
+                for v in members[j + 1:]:
+                    if nbr[u] >> v & 1:
+                        continue
+                    nbr[u] |= 1 << v
+                    nbr[v] |= 1 << u
+                    edges.append((u, v))
+                    # only a scope holding both ends can change its
+                    # answer; sid is one, and it is a clique now
+                    common = (vsmask[u] & vsmask[v]) ^ (1 << sid)
+                    while common:
+                        low = common & -common
+                        t = low.bit_length() - 1
+                        common ^= low
+                        if not queued[t]:
+                            queued[t] = True
+                            work.append(t)
+        return fired, edges, nbr
+
+    def lower_bound(self, part) -> int:
+        """max(clique bound, the same greedy clique in the graph closed
+        under rainbow scopes): no coloring of part has fewer colors."""
+        bound = self.clique_bound(part)
+        _, edges, implied = self.rainbow
+        if edges:
+            bound = max(bound, _greedy_clique(implied, part))
+        return bound
 
     @cached_property
     def conflict(self) -> list:
@@ -400,7 +504,8 @@ def is_k_strong_odd_colorable(
 ) -> DecisionResult:
     """Decide whether g has a strong odd k-coloring, one component at a
     time on one budget; the first component that answers NO or runs out
-    of budget answers for g."""
+    of budget answers for g.  When some component's lower bound exceeds
+    k the answer is NO, with no search."""
     if k < 1:
         raise ValueError("k must be positive")
     budget = budget or Budget()
@@ -409,18 +514,22 @@ def is_k_strong_odd_colorable(
     status, nodes = YES, 0
     color = [0] * g.n
     search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
-    for part in search.parts():
-        status, used = search.run(k, part, color, budget.max_nodes - nodes, deadline)
-        nodes += used
-        if status != YES:
-            break
+    parts = search.parts()
+    if any(search.lower_bound(part) > k for part in parts):
+        status = NO
+    else:
+        for part in parts:
+            status, used = search.run(k, part, color, budget.max_nodes - nodes, deadline)
+            nodes += used
+            if status != YES:
+                break
     witness = Coloring(tuple(color)) if status == YES else None
     return DecisionResult(status, witness, nodes, time.monotonic() - start)
 
 
 def _solve(n, adj, scopes, mode, budget) -> SolveResult:
-    """Ascending-k search per component, hardest clique bound first,
-    from max(its clique bound, the best value certified so far) to its
+    """Ascending-k search per component, highest lower bound first,
+    from max(its lower bound, the best value certified so far) to its
     first feasible k; the colorings sit side by side on one palette.  A
     budget that runs out leaves the bracket lo..hi, with greedy
     colorings for the component that gave up and every component after
@@ -433,7 +542,7 @@ def _solve(n, adj, scopes, mode, budget) -> SolveResult:
     lo = 0
     gave_up = False
     search = _ParitySearch(n, adj, scopes, mode)
-    parts = [(search.clique_bound(part), part) for part in search.parts()]
+    parts = [(search.lower_bound(part), part) for part in search.parts()]
     parts.sort(key=lambda bp: -bp[0])  # stable: components come smallest vertex first
     for bound, part in parts:
         if not gave_up:

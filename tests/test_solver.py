@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -105,7 +106,7 @@ def test_determinism():
         assert a.nodes_explored == b.nodes_explored
 
 
-@pytest.mark.parametrize("name,nodes", [("G12a", 824), ("G12b", 884), ("G7", 66)])
+@pytest.mark.parametrize("name,nodes", [("G12a", 807), ("G12b", 195), ("G7", 21)])
 def test_gallery_node_counts_pinned(name, nodes):
     res = chi_so_exact(gallery(name).graph)
     assert res.optimal and res.nodes_explored == nodes
@@ -114,7 +115,7 @@ def test_gallery_node_counts_pinned(name, nodes):
 @pytest.mark.parametrize("solve,value,nodes", [
     (chi_exact, 2, 20),
     (chi_odd_exact, 4, 240),
-    (chi_so_exact, 5, 1637),
+    (chi_so_exact, 5, 1629),
     (chi_square_exact, 5, 26),
 ])
 def test_grid_node_counts_pinned(solve, value, nodes):
@@ -126,15 +127,15 @@ def test_grid_node_counts_pinned(solve, value, nodes):
 # (n, p, value, optimal, lo, nodes) of chi_so under a 10,000-node budget
 # on G(n, p) drawn from random.Random(f"{n}:{p}"); four solves give up.
 _GNP_PINS = [
-    (12, 0.2, 3, True, 3, 17), (12, 0.3, 6, True, 6, 106),
-    (12, 0.5, 12, True, 12, 168), (14, 0.2, 5, True, 5, 113),
-    (14, 0.3, 6, True, 6, 102), (14, 0.5, 14, True, 14, 429),
-    (16, 0.2, 5, True, 5, 692), (16, 0.3, 10, True, 10, 1233),
-    (16, 0.5, 13, True, 13, 568), (18, 0.2, 6, True, 6, 284),
-    (18, 0.3, 7, True, 7, 4125), (18, 0.5, 18, True, 18, 1960),
+    (12, 0.2, 3, True, 3, 13), (12, 0.3, 6, True, 6, 69),
+    (12, 0.5, 12, True, 12, 36), (14, 0.2, 5, True, 5, 22),
+    (14, 0.3, 6, True, 6, 81), (14, 0.5, 14, True, 14, 411),
+    (16, 0.2, 5, True, 5, 674), (16, 0.3, 10, True, 10, 1055),
+    (16, 0.5, 13, True, 13, 554), (18, 0.2, 6, True, 6, 243),
+    (18, 0.3, 7, True, 7, 3700), (18, 0.5, 18, True, 18, 1960),
     (20, 0.2, None, False, 7, 10001), (20, 0.3, None, False, 11, 10001),
     (20, 0.5, 20, True, 20, 2620), (22, 0.2, None, False, 7, 10001),
-    (22, 0.3, None, False, 10, 10001), (22, 0.5, 22, True, 22, 2412),
+    (22, 0.3, None, False, 10, 10001), (22, 0.5, 22, True, 22, 2280),
 ]
 
 
@@ -167,6 +168,12 @@ def _engine_instances():
         yield g.n, g.adj, [sorted(g.adj[v]) for v in range(g.n) if g.adj[v]], EXISTS_ODD
         sq = square(g)
         yield sq.n, sq.adj, [], ALL_ODD
+    yield from _claim2_pieces()
+
+
+def _claim2_pieces():
+    """(n, adj, faces, ALL_ODD) of chi_pfo on the Claim 2 pieces of three
+    seeded planar maps."""
     for n in (20, 30, 40):
         pm = random_planar_map(n, random.Random(f"engine:pfo:{n}"))
         for piece in decompose_claim1(pm, chi_exact(pm.underlying).witness):
@@ -197,6 +204,95 @@ def test_engine_decisions_are_pinned():
                 last = min(last, k + 1)
             k += 1
     assert h.hexdigest()[:16] == "f01d797e7e5a61d8"
+
+
+def test_rainbow_derivation_replays_without_the_engine():
+    # each fired scope has no independent triple in the graph with the
+    # edges derived before it, it adds exactly its missing pairs, and at
+    # the end no scope can fire again
+    instances = [i for i in _engine_instances() if i[3] == ALL_ODD and i[2]]
+    g = random_planar_map(40, random.Random(40)).underlying
+    instances.append((g.n, g.adj, _strong_odd_scopes(g), ALL_ODD))
+    fired_any = 0
+    for n, adj, scopes, mode in instances:
+        search = _ParitySearch(n, adj, scopes, mode)
+        fired, edges, implied = search.rainbow
+        have = {(u, v) for u in range(n) for v in adj[u] if u < v}
+
+        def independent(triple):
+            return all(pair not in have for pair in itertools.combinations(triple, 2))
+
+        at = 0
+        for sid in fired:
+            scope = sorted(set(scopes[sid]))
+            assert not any(independent(t) for t in itertools.combinations(scope, 3))
+            missing = [pair for pair in itertools.combinations(scope, 2) if pair not in have]
+            assert missing and edges[at:at + len(missing)] == missing
+            at += len(missing)
+            have.update(missing)
+        assert at == len(edges)
+        for scope in scopes:
+            scope = sorted(set(scope))
+            assert (any(independent(t) for t in itertools.combinations(scope, 3))
+                    or all(pair in have for pair in itertools.combinations(scope, 2)))
+        assert implied == [sum(1 << u for u in range(n) if (min(u, v), max(u, v)) in have)
+                           for v in range(n)]
+        fired_any += bool(fired)
+    assert fired_any > len(instances) // 2
+
+
+def test_rainbow_derivation_implies_nothing_outside_all_odd_scopes():
+    g = gallery("G7").graph
+    for scopes, mode in (([], ALL_ODD), (_strong_odd_scopes(g), EXISTS_ODD)):
+        search = _ParitySearch(g.n, g.adj, scopes, mode)
+        assert search.rainbow[:2] == ([], [])
+        assert search.lower_bound(search.order) == search.clique_bound(search.order) == 3
+
+
+def test_implied_bound_is_below_the_oracle():
+    rng = random.Random(16)
+    raised = 0
+    for _ in range(200):
+        g = _random_graph(rng, max_n=9)
+        search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
+        parts = search.parts()
+        bound = max((search.lower_bound(part) for part in parts), default=0)
+        assert bound <= brute_force_chi_so(g)
+        raised += bound > max((search.clique_bound(part) for part in parts), default=0)
+    assert raised > 50
+
+
+def test_implied_bound_is_below_the_facially_odd_value():
+    # the value is found by run() from the clique bound up, as before the
+    # implied bound existed, so a bound above it would show here
+    tight = 0
+    for n, adj, faces, mode in _claim2_pieces():
+        search = _ParitySearch(n, adj, faces, mode)
+        whole, color = search.order, [0] * n
+        k = search.clique_bound(whole)
+        while search.run(k, whole, color, 10**6, math.inf)[0] == "no":
+            k += 1
+        bound = search.lower_bound(whole)
+        assert bound <= k
+        tight += bound == k
+    assert tight >= 10
+
+
+def test_the_implied_bound_decides_at_once():
+    # the rainbow neighborhoods imply a 7-clique; searched from the
+    # clique bound 4, k = 6 gave up after 806,913 nodes in 2 s
+    g = random_planar_map(40, random.Random(40)).underlying
+    res = is_k_strong_odd_colorable(g, 6, Budget(max_time=2))
+    assert (res.status, res.witness, res.nodes_explored) == ("no", None, 0)
+    res = chi_so_exact(g, Budget(max_nodes=1))
+    assert (res.lo, res.nodes_explored) == (7, 2)
+    assert is_strong_odd(g, res.witness) == []
+    # G12b: the search refutes k = 11 in 194 nodes; k = 12 still searches
+    g = gallery("G12b").graph
+    res = is_k_strong_odd_colorable(g, 11)
+    assert (res.status, res.nodes_explored) == ("no", 0)
+    res = is_k_strong_odd_colorable(g, 12)
+    assert res.status == "yes" and is_strong_odd(g, res.witness) == []
 
 
 def test_budget_exhaustion_reports_unknown():
@@ -317,7 +413,7 @@ def test_disjoint_union_certifies_per_component():
     g = _union_3()
     res = chi_so_exact(g, Budget(max_nodes=2_000))
     assert (res.value, res.optimal, res.lo, res.hi) == (9, True, 9, 9)
-    assert res.nodes_explored == 662
+    assert res.nodes_explored == 570
     assert is_strong_odd(g, res.witness) == [] and res.witness.k == 9
     # K4 has the larger clique bound, so it is searched first and P4
     # starts at k = 4: 4 + 6 nodes, with nothing to refute
