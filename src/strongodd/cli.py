@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import constructive, planemaps, randgen, solver
 from .gallery import check_structural_constraints, gallery as gallery_entry, gallery_names
@@ -291,18 +291,10 @@ def cmd_plane(args) -> int:
 # gallery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GalleryReport:
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r["pass"] for r in self.rows)
-
-
-def run_gallery(budget: solver.Budget) -> GalleryReport:
-    """Certify every gallery entry and the two small reference rows."""
-    report = GalleryReport()
+def run_gallery(budget: solver.Budget) -> list[dict]:
+    """Certify every gallery entry and the two small reference rows; one
+    row each."""
+    rows = []
     for name in gallery_names():
         entry = gallery_entry(name)
         row = {"name": name, "expected": dict(entry.expected)}
@@ -323,7 +315,7 @@ def run_gallery(budget: solver.Budget) -> GalleryReport:
         )
         if problems:
             row["constraint_violations"] = problems
-        report.rows.append(row)
+        rows.append(row)
     # reference rows: the five-cycle and the (2,3) complete bipartite graph
     c5 = make_cycle(5)
     row = {
@@ -335,24 +327,24 @@ def run_gallery(budget: solver.Budget) -> GalleryReport:
         },
     }
     row["pass"] = row["computed"] == row["expected"]
-    report.rows.append(row)
+    rows.append(row)
     k23 = make_complete_bipartite(2, 3)
     so = solver.chi_so_exact(k23, budget).value
     sq = solver.chi_square_exact(k23, budget).value
-    report.rows.append({
+    rows.append({
         "name": "K_{2,3}",
         "expected": {"chi_so": "<= 4", "chi_square": 5},
         "computed": {"chi_so": so, "chi_square": sq},
         "pass": so is not None and so <= 4 and sq == 5,
     })
-    return report
+    return rows
 
 
 def cmd_gallery(args) -> int:
-    budget = solver.Budget(max_nodes=10**9, max_time=1800.0) if args.extended else args.budget
-    report = run_gallery(budget)
-    _emit({"rows": report.rows, "pass": report.passed}, args.format)
-    return 0 if report.passed else 1
+    rows = run_gallery(args.budget)
+    passed = all(r["pass"] for r in rows)
+    _emit({"rows": rows, "pass": passed}, args.format)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="certify the named extremal graphs")
     add_budget(p)
-    p.add_argument("--extended", action="store_true",
-                   help="use the long certification budget (30 minutes)")
     add_fmt(p)
     p.set_defaults(func=cmd_gallery)
 
@@ -525,7 +515,15 @@ def main(argv=None) -> int:
         args.budget = solver.Budget(**{
             name: getattr(args, name) for name in ("max_nodes", "max_time") if name in vars(args)
         })
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, so nothing is left to report: point
+        # stdout at devnull for the interpreter's last flush, and exit as
+        # a shell reports a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,27 +97,8 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            queue = deque([s])
-            seen[s] = True
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in self.adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
-            comps.append(sorted(comp))
-        return comps
-
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or min(self.bfs_distances(0)) >= 0
 
     def bfs_distances(self, source: int) -> list[int]:
         """Distances from source; -1 for unreachable vertices."""

@@ -181,8 +181,10 @@ class PlaneMultigraph:
 
     def effective_regions(self) -> tuple[Region, ...]:
         """Stored regions, or the side-by-side default: one region per
-        orbit, except that each extra component contributes its first
-        orbit (and every isolated vertex) to a shared outer region."""
+        orbit, except that every component's first orbit and every
+        isolated vertex share one outer region.  With one component
+        that region is its first orbit, and with no edge it holds the
+        isolated vertices (or nothing, when n = 0)."""
         if self.regions is not None:
             return self.regions
         faces = self._orbits
@@ -192,13 +194,6 @@ class PlaneMultigraph:
         for fi, cyc in enumerate(faces):
             ci = comp_of[self.vertex_of(cyc[0])]
             first_orbit.setdefault(ci, fi)
-        if len(first_orbit) + len(isolated) <= 1:
-            regions = [(frozenset(cyc), frozenset()) for cyc in faces]
-            if not regions:
-                regions = [(frozenset(), isolated)]
-            elif isolated:
-                raise AssertionError("unreachable")
-            return tuple(regions)
         outer = set(first_orbit.values())
         shared = frozenset(d for fi in outer for d in faces[fi])
         regions = [(shared, isolated)]
@@ -372,20 +367,20 @@ def load_map(path) -> PlaneMultigraph:
 class _MapBuilder:
     """Mutable rotation system with geometric-region bookkeeping.
 
-    Vertices keep their snapshot-time ids.  Darts keep the map's
-    convention: new ones are allocated in pairs, so d's twin is d ^ 1.
-    Regions track which orbits (and isolated vertices) bound the same
-    geometric face, which is what survives edge deletions that
-    disconnect the graph.  region_darts indexes each region's darts by
-    the vertex they leave, so its keys are the region's boundary
-    vertices other than isolated ones; _set_region keeps it in step with
-    region_of.  iso_of maps each isolated vertex to the isolated set
-    that holds it, so a deletion finds its one region.
+    Vertices keep their snapshot-time ids; rot's keys are the live ones.
+    Darts keep the map's convention: new ones are allocated in pairs, so
+    d's twin is d ^ 1.  Regions track which orbits (and isolated
+    vertices) bound the same geometric face, which is what survives edge
+    deletions that disconnect the graph.  region_darts indexes each
+    region's darts by the vertex they leave, so its keys are the
+    region's boundary vertices other than isolated ones; _set_region
+    keeps it in step with region_of.  iso_of maps each isolated vertex
+    to the isolated set that holds it, so a deletion finds its one
+    region.
     """
 
     def __init__(self, m: PlaneMultigraph):
         self.source = m
-        self.alive = set(range(m.n))
         self.rot = {v: list(m.rotation[v]) for v in range(m.n)}
         self.vert = dict(enumerate(m._tail))  # live dart -> the vertex it leaves
         self.next_dart_id = 2 * m.m
@@ -503,7 +498,6 @@ class _MapBuilder:
             self.delete_edge_by_dart(self.rot[v][0])
         self._drop_isolated(v)
         del self.rot[v]
-        self.alive.discard(v)
 
     def annihilate(self, v: int) -> None:
         """Replace v by a cycle of new edges through its neighbors.
@@ -538,7 +532,6 @@ class _MapBuilder:
             self._set_region(rv[j], None)
             del self.vert[rv[j]], self.vert[t_j]
         del self.rot[v]
-        self.alive.discard(v)
 
     def _insert_before(self, v: int, anchor: int, new: int) -> None:
         self.rot[v].insert(self.rot[v].index(anchor), new)
@@ -609,7 +602,7 @@ class _MapBuilder:
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> PlaneMultigraph:
-        verts = sorted(self.alive)
+        verts = sorted(self.rot)
         vmap = {v: i for i, v in enumerate(verts)}
         edge_min_darts = sorted(d for d in self.vert if d % 2 == 0)
         dmap = {}
@@ -729,8 +722,9 @@ def digon_expand(m: PlaneMultigraph) -> PlaneMultigraph:
 # ---------------------------------------------------------------------------
 
 def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]:
-    """Per color class: drop edges outside the class, strip now-small
-    outside vertices, then annihilate every remaining outside vertex.
+    """Per color class: drop edges outside the class, then sweep the
+    outside vertices in ascending order, deleting those of degree at
+    most one and annihilating the rest.
 
     The resulting map for class i lives on the class vertices (labels
     point back into m) and has the property, checked before it is
@@ -752,17 +746,14 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
             u, v = m.edges[e]
             if u not in cls and v not in cls:
                 b.delete_edge_by_dart(2 * e)
-        while True:
-            small = sorted(
-                v for v in b.alive if v not in cls and b.degree(v) <= 1
-            )
-            if not small:
-                break
-            for v in small:
-                if v in b.alive and b.degree(v) <= 1:
-                    b.delete_small_vertex(v)
-        for v in sorted(b.alive):
-            if v not in cls:
+        # every edge left at an outside vertex ends in the class, so
+        # neither operation changes another outside vertex's degree
+        for v in range(m.n):
+            if v in cls:
+                continue
+            if b.degree(v) <= 1:
+                b.delete_small_vertex(v)
+            else:
                 b.annihilate(v)
         piece = b.snapshot()
         if piece.m:
@@ -871,7 +862,7 @@ class _EndBlocks:
 
     def __init__(self, b: _MapBuilder):
         self.b = b
-        self.edge_block, cuts = _blocks(b.rot, b.vert, sorted(b.alive))
+        self.edge_block, cuts = _blocks(b.rot, b.vert, sorted(b.rot))
         verts = [set() for _ in range(len(set(self.edge_block.values())))]
         for d, v in b.vert.items():
             verts[self.edge_block[d >> 1]].add(v)

@@ -83,20 +83,21 @@ lie inside it, and the vertices outside it stay out of ``uncolored``
 and never enter a blocked or used mask, so they take no part in any
 test.  The node counts are those of a separate search per component.
 
-Each component's lower bound is max(its clique bound, its implied
-clique bound).  The clique bound is a clique grown greedily in the
-graph.  Under ALL_ODD each color class inside a scope is an independent
-set of odd size, so in a scope whose induced graph has no independent
-triple every class has one vertex: the scope is rainbow in every
-solution, and its missing pairs are edges of every solution.  Adding
-them and repeating on the larger graph until no scope fires gives the
-implied graph; every solution is a proper coloring of it, so the same
-greedy clique grown there is a lower bound too.  More edges never
-create an independent triple, so the fixpoint does not depend on the
-order in which scopes are examined.  Only where the search starts
+Each component's lower bound, from lower_bound(), is the larger of two
+greedy cliques: one grown in the graph and one in the implied graph,
+``rainbow``.  Under ALL_ODD each color class inside a scope is an
+independent set of odd size, so in a scope whose induced graph has no
+independent triple every class has one vertex: the scope is rainbow in
+every solution, and its missing pairs are edges of every solution.
+Adding them and repeating on the larger graph until no scope fires
+gives the implied graph; every solution is a proper coloring of it, so
+the same greedy clique grown there is a lower bound too.  More edges
+never create an independent triple, so the fixpoint does not depend on
+the order in which scopes are examined.  Only where the search starts
 moves: the order, the masks and run() use the input graph, so every k
 that is still searched makes the same nodes and the same witness.
-EXISTS_ODD and instances without scopes imply no edges.
+EXISTS_ODD and instances without scopes imply no edges, and then
+``rainbow`` is the input adjacency itself.
 
 The components are visited highest lower bound first, ties to the
 smallest vertex, and each one's ascending search starts at max(its
@@ -166,15 +167,16 @@ class SolveResult:
     """Outcome of an ascending-k exact solve.
 
     Every k below lo is refuted, by a completed search or by the lower
-    bound, max(clique bound, implied clique bound).  When every
-    component's search finds a coloring, value = lo = hi, optimal is
-    True and witness uses value colors; with no vertices there are no
-    components, and value = lo = hi = 0.  When the budget runs out at
-    lo, the component that gave up and every component after it are
-    colored greedily on the conflict graph (adjacency plus every scope
-    as a clique): proper and rainbow on every scope, so the witness
-    satisfies the parameter with hi = witness.k colors.  value is then None and optimal False, unless hi
-    equals lo, which makes the witness optimal.
+    bound, the larger greedy clique of the graph and the implied graph.
+    When every component's search finds a coloring, value = lo = hi,
+    optimal is True and witness uses value colors; with no vertices
+    there are no components, and value = lo = hi = 0.  When the budget
+    runs out at lo, the component that gave up and every component after
+    it are colored greedily on the conflict graph (adjacency plus every
+    scope as a clique): proper and rainbow on every scope, so the
+    witness satisfies the parameter with hi = witness.k colors.  value
+    is then None and optimal False, unless hi equals lo, which makes the
+    witness optimal.
     """
 
     value: Optional[int]
@@ -274,28 +276,20 @@ class _ParitySearch:
         # the scopes of v's neighbors that do not contain v
         self.others = [_or(vsmask[u] for u in a) & ~vsmask[v] for v, a in enumerate(adj)]
 
-    def clique_bound(self, part) -> int:
-        """Size of the largest clique grown greedily from each of the
-        first 16 vertices of part in the graph; a lower bound for every
-        parameter."""
-        return _greedy_clique(self.nbr, part)
-
     @cached_property
-    def rainbow(self) -> tuple:
-        """(fired, edges, implied): the rainbow scopes, the edges they
-        imply and the graph closed under them.
+    def rainbow(self) -> list:
+        """The adjacency closed under rainbow scopes, or nbr itself when
+        no scope adds an edge.
 
         Under ALL_ODD a scope with no independent triple in the graph is
         rainbow in every solution, so its missing pairs are edges of
         every solution; the rule is applied again on the larger graph
-        until nothing changes.  fired lists the scopes that added edges,
-        in the order they did; edges lists each added pair (u, v), u < v,
-        in the order it was added; implied is nbr with those edges.
-        Other modes, and instances without scopes, imply nothing."""
+        until nothing changes.  Other modes, and instances without
+        scopes, imply nothing."""
         if self.mode != ALL_ODD:
-            return [], [], self.nbr
+            return self.nbr
         nbr = list(self.nbr)
-        fired, edges = [], []
+        grown = False
         scopes, smask, vsmask = self.scopes, self.smask, self.vsmask
         # scopes of at most one vertex have no pair to add
         queued = [bool(s & (s - 1)) for s in smask]
@@ -318,14 +312,13 @@ class _ParitySearch:
                 continue
             if size > 2 and _has_independent_triple(nbr, s, members):
                 continue
-            fired.append(sid)
+            grown = True
             for j, u in enumerate(members):
                 for v in members[j + 1:]:
                     if nbr[u] >> v & 1:
                         continue
                     nbr[u] |= 1 << v
                     nbr[v] |= 1 << u
-                    edges.append((u, v))
                     # only a scope holding both ends can change its
                     # answer; sid is one, and it is a clique now
                     common = (vsmask[u] & vsmask[v]) ^ (1 << sid)
@@ -336,15 +329,15 @@ class _ParitySearch:
                         if not queued[t]:
                             queued[t] = True
                             work.append(t)
-        return fired, edges, nbr
+        return nbr if grown else self.nbr
 
     def lower_bound(self, part) -> int:
-        """max(clique bound, the same greedy clique in the graph closed
-        under rainbow scopes): no coloring of part has fewer colors."""
-        bound = self.clique_bound(part)
-        _, edges, implied = self.rainbow
-        if edges:
-            bound = max(bound, _greedy_clique(implied, part))
+        """The larger of two cliques, each grown greedily from the first
+        16 vertices of part: one in the graph and one in the graph closed
+        under rainbow scopes.  No coloring of part has fewer colors."""
+        bound = _greedy_clique(self.nbr, part)
+        if self.rainbow is not self.nbr:
+            bound = max(bound, _greedy_clique(self.rainbow, part))
         return bound
 
     @cached_property
@@ -574,8 +567,9 @@ def chi_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
 
 
 def chi_odd_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
-    scopes = [tuple(sorted(g.adj[v])) for v in range(g.n) if g.adj[v]]
-    return _solve(g.n, g.adj, scopes, EXISTS_ODD, budget)
+    # an isolated vertex's empty scope closes nowhere and holds no vertex,
+    # so under EXISTS_ODD it constrains nothing
+    return _solve(g.n, g.adj, _strong_odd_scopes(g), EXISTS_ODD, budget)
 
 
 def chi_square_exact(g: Graph, budget: Optional[Budget] = None) -> SolveResult:

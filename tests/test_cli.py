@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import strongodd
 from strongodd.cli import main
 from strongodd.colorings import coloring_to_json_dict
 from strongodd.constructive import color_cycle
@@ -257,6 +261,26 @@ def test_plane_action_without_coloring_exits_2(tmp_path, capsys, action):
     assert main(["plane", action, "--map", str(mpath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--coloring" in err
+
+
+@pytest.mark.parametrize("n", [3, 50000])
+def test_closed_stdout_exits_141_without_a_message(n):
+    # the reader is gone before the first write.  With stdout buffered, a
+    # small output fails at main's flush and a large one (about 1.5 MB)
+    # in the middle of print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(strongodd.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from strongodd.cli import main; sys.exit(main())",
+             "gen", "--family", "path", "--n", str(n)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_gen_unknown_gallery_name_exits_2(capsys):

@@ -168,9 +168,11 @@ def test_export_dot_with_colors():
     assert "0 -- 1;" in text
 
 
-def test_diameter_and_components():
+def test_diameter_and_connectivity():
     assert make_path(4).diameter() == 3
+    assert Graph(0, frozenset()).is_connected()
+    assert make_path(1).is_connected() and make_path(5).is_connected()
     g = disjoint_union(make_complete(2), make_complete(2))
-    assert len(g.components()) == 2
+    assert not g.is_connected()
     with pytest.raises(GraphError):
         g.diameter()

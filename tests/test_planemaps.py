@@ -291,35 +291,36 @@ def _map_key(pm):
     return (pm.n, pm.edges, pm.rotation, regions, pm.labels)
 
 
+def _pinned_maps():
+    """The seeded maps of the two pins below, each with the two vertices
+    drawn for annihilation and a first-fit coloring."""
+    rng = random.Random(17)
+    for i in range(40):
+        pm = random_planar_map(rng.randint(8, 60), rng,
+                               delete_fraction=rng.choice([0.0, 0.25, 0.45]))
+        yield i, pm, rng.sample(range(pm.n), 2), _first_fit(pm.underlying)
+
+
 def test_plane_map_outputs_are_pinned():
-    # recorded before the plane-map layer moved to linear bookkeeping;
-    # the faster layer must return the same maps and augmentation edges.
-    # The pipeline colorings were recorded again when each piece's search
-    # started at its implied clique bound: a piece that gave up within
-    # 2,000 nodes, colored greedily with as many colors as its lo, now
-    # certifies, and keeps the search's own witness
+    # the map layer alone: faces, annihilations, digon expansions, Claim 1
+    # pieces and Claim 2 augmentations, so an engine change leaves it as
+    # it is.  Recorded before Claim 1 became one sweep over the outside
+    # vertices, which must return the same maps
     h = hashlib.sha256()
 
     def pin(x):
         h.update(repr(x).encode())
 
-    rng = random.Random(17)
-    for i in range(40):
-        pm = random_planar_map(rng.randint(8, 60), rng,
-                               delete_fraction=rng.choice([0.0, 0.25, 0.45]))
+    for _, pm, picks, phi in _pinned_maps():
         pin(trace_faces(pm).faces)
-        for v in rng.sample(range(pm.n), 2):
+        for v in picks:
             if pm.degree(v) >= 2:
                 pin(_map_key(annihilate(pm, v)))
         pin(_map_key(digon_expand(pm)))
-        phi = _first_fit(pm.underlying)
         for piece in decompose_claim1(pm, phi):
             pin(_map_key(piece))
             if piece.n >= 3:
                 pin(_map_key(augment_claim2(piece)))
-        if i % 4 == 0:
-            res = strong_odd_via_planar_detailed(pm, phi, Budget(max_nodes=2000))
-            pin(res.coloring.colors)
     rng = random.Random(18)
     for _ in range(20):
         t = random_tree(rng.randint(3, 60), rng)
@@ -327,7 +328,33 @@ def test_plane_map_outputs_are_pinned():
         pin(_map_key(augment_claim2(pm)))
     for n in (*range(3, 12), 40, 100):
         pin(_map_key(augment_claim2(embed_path(n))))
-    assert h.hexdigest()[:16] == "10c8c922811c07bb"
+    assert h.hexdigest()[:16] == "6e1c3a2b0fbd8a5d"
+
+
+def test_pipeline_colorings_are_pinned():
+    # the pipeline's colorings on every fourth map of the pin above; an
+    # engine change that moves a piece's witness shows here only
+    h = hashlib.sha256()
+    for i, pm, _, phi in _pinned_maps():
+        if i % 4 == 0:
+            res = strong_odd_via_planar_detailed(pm, phi, Budget(max_nodes=2000))
+            h.update(repr(res.coloring.colors).encode())
+    assert h.hexdigest()[:16] == "3a347fd7e2a99ffc"
+
+
+def test_default_regions_without_a_second_component():
+    # one region per orbit, and a map with no edge has one region that
+    # holds its isolated vertices
+    empty, iso = frozenset(), frozenset
+    cases = [
+        (PlaneMultigraph(0, (), ()), ((empty, empty),)),
+        (PlaneMultigraph(1, (), ((),)), ((empty, iso({0})),)),
+        (PlaneMultigraph(3, (), ((), (), ())), ((empty, iso({0, 1, 2})),)),
+        (embed_path(2), ((iso({0, 1}), empty),)),
+        (PlaneMultigraph(3, ((0, 1),), ((0,), (1,), ())), ((iso({0, 1}), iso({2})),)),
+    ]
+    for pm, regions in cases:
+        assert pm.effective_regions() == regions
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from strongodd.solver import (
     EXISTS_ODD,
     Budget,
     _ParitySearch,
+    _greedy_clique,
     _strong_odd_scopes,
     brute_force_chi_so,
     chi_exact,
@@ -193,7 +194,7 @@ def test_engine_decisions_are_pinned():
         # the whole instance as one part, components and all
         search = _ParitySearch(n, adj, scopes, mode)
         whole, color = search.order, [0] * n
-        k = search.clique_bound(whole)
+        k = _greedy_clique(search.nbr, whole)
         last = n
         while k <= last:
             for cap in (1, 37, 1000, 5000):
@@ -206,47 +207,46 @@ def test_engine_decisions_are_pinned():
     assert h.hexdigest()[:16] == "f01d797e7e5a61d8"
 
 
-def test_rainbow_derivation_replays_without_the_engine():
-    # each fired scope has no independent triple in the graph with the
-    # edges derived before it, it adds exactly its missing pairs, and at
-    # the end no scope can fire again
+def test_rainbow_is_the_fixpoint_of_the_scope_rule():
+    # replayed without the engine: every scope with no independent triple
+    # gets its missing pairs, until no scope adds one.  The rule only adds
+    # edges, and more edges never create an independent triple, so the
+    # fixpoint is unique and equality with it is the whole property
     instances = [i for i in _engine_instances() if i[3] == ALL_ODD and i[2]]
     g = random_planar_map(40, random.Random(40)).underlying
     instances.append((g.n, g.adj, _strong_odd_scopes(g), ALL_ODD))
-    fired_any = 0
+    grown = 0
     for n, adj, scopes, mode in instances:
-        search = _ParitySearch(n, adj, scopes, mode)
-        fired, edges, implied = search.rainbow
         have = {(u, v) for u in range(n) for v in adj[u] if u < v}
-
-        def independent(triple):
-            return all(pair not in have for pair in itertools.combinations(triple, 2))
-
-        at = 0
-        for sid in fired:
-            scope = sorted(set(scopes[sid]))
-            assert not any(independent(t) for t in itertools.combinations(scope, 3))
-            missing = [pair for pair in itertools.combinations(scope, 2) if pair not in have]
-            assert missing and edges[at:at + len(missing)] == missing
-            at += len(missing)
-            have.update(missing)
-        assert at == len(edges)
-        for scope in scopes:
-            scope = sorted(set(scope))
-            assert (any(independent(t) for t in itertools.combinations(scope, 3))
-                    or all(pair in have for pair in itertools.combinations(scope, 2)))
-        assert implied == [sum(1 << u for u in range(n) if (min(u, v), max(u, v)) in have)
-                           for v in range(n)]
-        fired_any += bool(fired)
-    assert fired_any > len(instances) // 2
+        given = len(have)
+        changed = True
+        while changed:
+            changed = False
+            for scope in scopes:
+                scope = sorted(set(scope))
+                if any(not have.intersection(itertools.combinations(t, 2))
+                       for t in itertools.combinations(scope, 3)):
+                    continue
+                missing = set(itertools.combinations(scope, 2)) - have
+                have |= missing
+                changed |= bool(missing)
+        search = _ParitySearch(n, adj, scopes, mode)
+        assert search.rainbow == [
+            sum(1 << u for u in range(n) if (min(u, v), max(u, v)) in have)
+            for v in range(n)
+        ]
+        assert (search.rainbow is search.nbr) == (len(have) == given)
+        grown += len(have) > given
+    assert grown > len(instances) // 2
 
 
 def test_rainbow_derivation_implies_nothing_outside_all_odd_scopes():
     g = gallery("G7").graph
     for scopes, mode in (([], ALL_ODD), (_strong_odd_scopes(g), EXISTS_ODD)):
         search = _ParitySearch(g.n, g.adj, scopes, mode)
-        assert search.rainbow[:2] == ([], [])
-        assert search.lower_bound(search.order) == search.clique_bound(search.order) == 3
+        assert search.rainbow is search.nbr
+        whole = search.order
+        assert search.lower_bound(whole) == _greedy_clique(search.nbr, whole) == 3
 
 
 def test_implied_bound_is_below_the_oracle():
@@ -258,7 +258,7 @@ def test_implied_bound_is_below_the_oracle():
         parts = search.parts()
         bound = max((search.lower_bound(part) for part in parts), default=0)
         assert bound <= brute_force_chi_so(g)
-        raised += bound > max((search.clique_bound(part) for part in parts), default=0)
+        raised += bound > max((_greedy_clique(search.nbr, part) for part in parts), default=0)
     assert raised > 50
 
 
@@ -269,7 +269,7 @@ def test_implied_bound_is_below_the_facially_odd_value():
     for n, adj, faces, mode in _claim2_pieces():
         search = _ParitySearch(n, adj, faces, mode)
         whole, color = search.order, [0] * n
-        k = search.clique_bound(whole)
+        k = _greedy_clique(search.nbr, whole)
         while search.run(k, whole, color, 10**6, math.inf)[0] == "no":
             k += 1
         bound = search.lower_bound(whole)
