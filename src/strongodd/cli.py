@@ -140,7 +140,7 @@ def cmd_solve(args) -> int:
     g = load_json(args.graph)
     if args.k is not None:
         if args.param != "so":
-            raise SystemExit("decision mode (--k) is available for --param so")
+            raise ValueError("decision mode (--k) is available for --param so")
         res = solver.is_k_strong_odd_colorable(g, args.k, args.budget)
         out = {
             "k": args.k,
@@ -184,9 +184,9 @@ def cmd_color(args) -> int:
     log = constructive.ProvenanceLog()
     out = {}
     if args.method in ("tree", "unicyclic") and not args.graph:
-        raise SystemExit(f"--method {args.method} requires --graph")
+        raise ValueError(f"--method {args.method} requires --graph")
     if args.method == "product" and not (args.left and args.right):
-        raise SystemExit("--method product requires --left and --right")
+        raise ValueError("--method product requires --left and --right")
     if args.method == "tree":
         g = load_json(args.graph)
         phi = constructive.color_tree(g, log)

@@ -98,6 +98,8 @@ class PlaneMultigraph:
             expected = [v for v in range(self.n) if not self.rotation[v]]
             if sorted(isolated) != expected:
                 raise MapError("regions mistrack isolated vertices")
+            if not all(r[0] or r[1] for r in self.regions):
+                raise MapError("a region holds neither a dart nor an isolated vertex")
 
     @property
     def m(self) -> int:
@@ -308,11 +310,15 @@ def embed_star(leaves: int) -> PlaneMultigraph:
 
 
 def map_to_json_dict(m: PlaneMultigraph) -> dict:
-    return {
+    data = {
         "n": m.n,
         "edges": [{"id": e, "ends": [u, v]} for e, (u, v) in enumerate(m.edges)],
         "rotation": {str(v): list(m.rotation[v]) for v in range(m.n)},
     }
+    if m.regions is not None:
+        data["regions"] = [{"darts": sorted(darts), "isolated": sorted(iso)}
+                           for darts, iso in m.regions]
+    return data
 
 
 def map_from_json_dict(data: dict) -> PlaneMultigraph:
@@ -320,6 +326,9 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         n = data["n"]
         raw_edges = data["edges"]
         raw_rot = data["rotation"]
+        raw_regions = data.get("regions")
+        regions = None if raw_regions is None else [
+            (r["darts"], r["isolated"]) for r in raw_regions]
     except (KeyError, TypeError) as exc:
         raise MapError(f"malformed map JSON: {exc}") from exc
     # type(), not isinstance, here and below: bool is an int subclass
@@ -338,12 +347,18 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
             raise MapError(f"bad edge id {e!r}")
         edges[e] = (u, v)
     rotation = [raw_rot.get(str(v), []) for v in range(n)]
-    if not all(isinstance(rot, list) for rot in rotation):
-        raise MapError("every rotation must be a list of dart ids")
-    if not set(map(type, chain.from_iterable(edges + rotation))) <= {int}:
-        raise MapError("edge ends and dart ids must be integers")
-    rotation = tuple(map(tuple, rotation))
-    pm = PlaneMultigraph(n, tuple(edges), rotation)
+    region_lists = list(chain.from_iterable(regions or ()))
+    if not all(isinstance(ids, list) for ids in rotation + region_lists):
+        raise MapError("rotations and region fields must be lists of ids")
+    if not set(map(type, chain.from_iterable(edges + rotation + region_lists))) <= {int}:
+        raise MapError("edge ends, dart ids and region entries must be integers")
+    if regions is not None:
+        regions = tuple((frozenset(darts), frozenset(iso)) for darts, iso in regions)
+    pm = PlaneMultigraph(n, tuple(edges), tuple(map(tuple, rotation)), regions=regions)
+    if regions is not None:
+        region_of = {d: i for i, (darts, _) in enumerate(regions) for d in darts}
+        if any(region_of[d] != region_of[pm._succ[d]] for d in pm.darts):
+            raise MapError("every region must be a union of face orbits")
     _check_euler(pm)
     return pm
 
@@ -371,12 +386,10 @@ class _MapBuilder:
     Darts keep the map's convention: new ones are allocated in pairs, so
     d's twin is d ^ 1.  Regions track which orbits (and isolated
     vertices) bound the same geometric face, which is what survives edge
-    deletions that disconnect the graph.  region_darts indexes each
-    region's darts by the vertex they leave, so its keys are the
-    region's boundary vertices other than isolated ones; _set_region
-    keeps it in step with region_of.  iso_of maps each isolated vertex
-    to the isolated set that holds it, so a deletion finds its one
-    region.
+    deletions that disconnect the graph.  A region's members are its
+    darts, plus ~v for each isolated vertex v in it, so the two kinds
+    split by sign; region_of maps every member to its region, and
+    region_members maps every region to its member set.
     """
 
     def __init__(self, m: PlaneMultigraph):
@@ -385,16 +398,12 @@ class _MapBuilder:
         self.vert = dict(enumerate(m._tail))  # live dart -> the vertex it leaves
         self.next_dart_id = 2 * m.m
         self.region_of = {}
-        self.region_darts = {}
-        self.region_iso = {}
-        self.iso_of = {}
+        self.region_members = {}
         self.next_region = 0
         for darts, iso in m.effective_regions():
             rid = self._new_region()
-            for v in iso:
-                self._add_isolated(v, rid)
-            for d in darts:
-                self._set_region(d, rid)
+            for x in chain(darts, (~v for v in iso)):
+                self._set_region(x, rid)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -424,57 +433,33 @@ class _MapBuilder:
     def _new_region(self) -> int:
         rid = self.next_region
         self.next_region += 1
-        self.region_darts[rid] = {}
-        self.region_iso[rid] = set()
+        self.region_members[rid] = set()
         return rid
 
-    def _set_region(self, d: int, rid: Optional[int]) -> None:
-        """Move live dart d into region rid, or out of every region when
-        rid is None.  Every change of region_of goes through here."""
-        v = self.vert[d]
-        old = self.region_of.pop(d, None)
+    def _set_region(self, x: int, rid: Optional[int]) -> None:
+        """Move member x (a live dart, or ~v for an isolated vertex v)
+        into region rid, or out of every region when rid is None.  Every
+        change of region_of and region_members goes through here."""
+        old = self.region_of.pop(x, None)
         if old is not None:
-            at = self.region_darts[old][v]
-            at.discard(d)
-            if not at:
-                del self.region_darts[old][v]
+            self.region_members[old].discard(x)
         if rid is not None:
-            self.region_of[d] = rid
-            at = self.region_darts[rid].get(v)
-            if at is None:
-                self.region_darts[rid][v] = {d}
-            else:
-                at.add(d)
-
-    def _add_isolated(self, v: int, rid: int) -> None:
-        iso = self.region_iso[rid]
-        iso.add(v)
-        self.iso_of[v] = iso
-
-    def _drop_isolated(self, v: int) -> None:
-        self.iso_of.pop(v).discard(v)
-
-    def region_vertex_set(self, rid: int) -> frozenset[int]:
-        return frozenset(self.region_darts[rid]) | self.region_iso[rid]
+            self.region_of[x] = rid
+            self.region_members[rid].add(x)
 
     def _merge_regions(self, r1: int, r2: int) -> int:
         """Join two regions into one; returns the id that survives.  The
-        region on fewer vertices is dropped, so its darts are the ones
-        that move (region ids never reach a snapshot)."""
+        region with fewer members is dropped, so its members are the ones
+        that move, each O(log n) times in all (region ids never reach a
+        snapshot)."""
         if r1 == r2:
             return r1
         keep, drop = r1, r2
-        if len(self.region_darts[r1]) < len(self.region_darts[r2]):
+        if len(self.region_members[r1]) < len(self.region_members[r2]):
             keep, drop = r2, r1
-        for d in list(chain.from_iterable(self.region_darts[drop].values())):
-            self._set_region(d, keep)
-        del self.region_darts[drop]
-        # the smaller isolated set moves, so a vertex moves O(log n) times
-        iso, moved = self.region_iso[keep], self.region_iso.pop(drop)
-        if len(iso) < len(moved):
-            self.region_iso[keep], moved = moved, iso
-        for v in moved:
-            self._add_isolated(v, keep)
+        for x in list(self.region_members[drop]):
+            self._set_region(x, keep)
+        del self.region_members[drop]
         return keep
 
     # -- mutations -----------------------------------------------------------
@@ -486,7 +471,7 @@ class _MapBuilder:
             v = self.vert[x]
             self.rot[v].remove(x)
             if not self.rot[v]:
-                self._add_isolated(v, rid)
+                self._set_region(~v, rid)
             self._set_region(x, None)
         del self.vert[d], self.vert[t]
 
@@ -496,7 +481,7 @@ class _MapBuilder:
             raise MapError(f"vertex {v} has degree {self.degree(v)} > 1")
         if self.rot[v]:
             self.delete_edge_by_dart(self.rot[v][0])
-        self._drop_isolated(v)
+        self._set_region(~v, None)
         del self.rot[v]
 
     def annihilate(self, v: int) -> None:
@@ -541,17 +526,17 @@ class _MapBuilder:
 
     def _region_pieces(self, rid: int) -> list[tuple[int, int]]:
         """Boundary pieces of a region: (sort key, anchor vertex)."""
-        darts = sorted(chain.from_iterable(self.region_darts[rid].values()))
+        members = self.region_members[rid]
         pieces = []
         seen = set()
-        for d in darts:
+        for d in sorted(x for x in members if x >= 0):
             if d in seen:
                 continue
             cyc = self.orbit(d)
             seen.update(cyc)
             pieces.append((min(cyc), min(self.vert[x] for x in cyc)))
         top = self.next_dart_id
-        for v in sorted(self.region_iso[rid]):
+        for v in sorted(~x for x in members if x < 0):
             pieces.append((top + v, v))
         return pieces
 
@@ -562,17 +547,18 @@ class _MapBuilder:
         for v, nd in ((u, nu), (w, nw)):
             if not self.rot[v]:
                 self.rot[v] = [nd]
-                self._drop_isolated(v)
+                self._set_region(~v, None)
             else:
-                self._insert_before(v, min(self.region_darts[rid][v]), nd)
+                anchor = min(d for d in self.rot[v] if self.region_of[d] == rid)
+                self._insert_before(v, anchor, nd)
         self._set_region(nu, rid)
         self._set_region(nw, rid)
 
-    def add_corner_edge(self, x: int, y: int) -> tuple[int, int]:
+    def add_corner_edge(self, x: int, y: int) -> int:
         """Add an edge cutting the corner (x, y) off its face: the face
         splits into the triangle (x, y, new) and a remainder with the
         same vertex set.  Returns the new edge's dart that stays in the
-        remainder and the triangle's region."""
+        remainder."""
         if self.succ(x) != y:
             raise MapError("darts do not form a corner")
         u = self.vert[x]
@@ -585,7 +571,7 @@ class _MapBuilder:
         for d in (x, y, n2):
             self._set_region(d, new_region)
         self._set_region(n1, rid)
-        return n1, new_region
+        return n1
 
     def expand_edge_to_digon(self, d: int) -> None:
         """Add an edge parallel to d's edge bounding a digon with it."""
@@ -602,6 +588,8 @@ class _MapBuilder:
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> PlaneMultigraph:
+        """The current map with vertices and darts renumbered in order,
+        its regions and labels, after a check of the Euler identity."""
         verts = sorted(self.rot)
         vmap = {v: i for i, v in enumerate(verts)}
         edge_min_darts = sorted(d for d in self.vert if d % 2 == 0)
@@ -617,10 +605,10 @@ class _MapBuilder:
         )
         regions = tuple(sorted(
             (
-                (frozenset(dmap[d] for d in chain.from_iterable(at.values())),
-                 frozenset(vmap[v] for v in self.region_iso[r]))
-                for r, at in self.region_darts.items()
-                if at or self.region_iso[r]
+                (frozenset(dmap[x] for x in members if x >= 0),
+                 frozenset(vmap[~x] for x in members if x < 0))
+                for members in self.region_members.values()
+                if members
             ),
             key=lambda r: (min(r[0]) if r[0] else 2 * len(edges) + min(r[1], default=0)),
         ))
@@ -628,9 +616,11 @@ class _MapBuilder:
             labels = tuple(self.source.labels[v] for v in verts)
         else:
             labels = tuple(verts)
-        return PlaneMultigraph(
+        out = PlaneMultigraph(
             len(verts), tuple(edges), rotation, regions=regions, labels=labels
         )
+        _check_euler(out)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +638,7 @@ def annihilate(m: PlaneMultigraph, v: int) -> PlaneMultigraph:
         raise MapError(f"no vertex {v}")
     b = _MapBuilder(m)
     b.annihilate(v)
-    out = b.snapshot()
-    _check_euler(out)
-    return out
+    return b.snapshot()
 
 
 def annihilation_report(
@@ -712,9 +700,7 @@ def digon_expand(m: PlaneMultigraph) -> PlaneMultigraph:
     b = _MapBuilder(m)
     for e in range(m.m):
         b.expand_edge_to_digon(2 * e)
-    out = b.snapshot()
-    _check_euler(out)
-    return out
+    return b.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +742,6 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
             else:
                 b.annihilate(v)
         piece = b.snapshot()
-        if piece.m:
-            _check_euler(piece)
         face_sets = {piece.relabel_to_parent(s) for s in piece.face_vertex_sets()}
         for x in range(m.n):
             hood = frozenset(g.adj[x] & cls)
@@ -943,34 +927,14 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     each is bridged along its pieces until it lies in one component.  The
     argument needs each region to meet a component in at most one piece,
     as a face of a plane map does.
+
+    The contract is checked once, on the map returned: every face vertex
+    set of m, counted with multiplicity, must be one of the result's, or
+    an AssertionError names a lost face.
     """
     if m.n < 3:
         raise MapError("augmentation needs at least three vertices")
     b = _MapBuilder(m)
-    # every region's vertex set, and how many regions have each set: an
-    # added edge must leave every set some region had before it
-    face_set = {rid: b.region_vertex_set(rid) for rid in b.region_darts}
-    face_sets = Counter(s for s in face_set.values() if s)
-
-    def check_faces(rids, verts, what):
-        """Recount the regions the new edge touched; their vertex sets can
-        change only at verts."""
-        lost = []
-        for rid in rids:
-            old = face_set.get(rid, frozenset())
-            if all((z in old) == (z in b.region_darts[rid] or z in b.region_iso[rid])
-                   for z in verts):
-                continue
-            face_set[rid] = new = b.region_vertex_set(rid)
-            if old:
-                face_sets[old] -= 1
-                lost.append(old)
-            if new:
-                face_sets[new] += 1
-        for s in lost:
-            if not face_sets[s]:
-                raise AssertionError(f"{what} lost face boundary {sorted(s)}")
-
     # the builder keeps the map's vertex ids, so the map's component index
     # applies to it; parent is a union-find over the component ids
     comp_of = m._component_of
@@ -984,7 +948,7 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     merges_left = len(parent) - 1
     regions = []
     if merges_left:  # a connected map needs no bridge: skip the orbit walks
-        regions = sorted((b._region_pieces(r), r) for r in b.region_darts)
+        regions = sorted((b._region_pieces(r), r) for r in b.region_members)
     for pieces, rid in regions:
         if len(pieces) < 2:
             continue
@@ -993,7 +957,6 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
             cu, cw = find(comp_of[u]), find(comp_of[w])
             if cu != cw:
                 b.add_edge_in_region(rid, u, w)
-                check_faces((rid,), (u, w), "bridge")
                 parent[cw] = cu
                 merges_left -= 1
                 u = min(u, w)  # the anchor of the merged piece
@@ -1010,14 +973,14 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
         if len(corners) > 1:
             corners.sort(key=lambda c: _corner_rank(b, c[1]))
         x, y = corners[0]
-        rid = b.region_of[x]
         other = blocks.block_of(y)
-        d, triangle = b.add_corner_edge(x, y)
+        d = b.add_corner_edge(x, y)
         blocks.merge(block, other, v, y, d)
-        check_faces((rid, triangle), (b.vert[x], v, b.vert[y ^ 1]), "corner edge")
 
     out = b.snapshot()
-    _check_euler(out)
+    lost = Counter(m.face_vertex_sets()) - Counter(out.face_vertex_sets())
+    if lost:
+        raise AssertionError(f"Claim 2 lost face boundary {sorted(next(iter(lost)))}")
     return out
 
 
@@ -1127,8 +1090,7 @@ def strong_odd_via_planar_detailed(
                 local, cnt = (0,) * piece.n, 1
             else:
                 local, cnt = (), 0
-        labels = piece.labels or tuple(range(piece.n))
-        for j, lab in enumerate(labels):
+        for j, lab in enumerate(piece.labels):
             final[lab] = offset + local[j]
         offset += cnt
         counts.append(cnt)

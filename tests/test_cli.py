@@ -187,11 +187,62 @@ def _edge_id_as_bool(data):
     return data
 
 
+def _with_regions(data):
+    data["regions"] = [{"darts": sorted(darts), "isolated": []}
+                       for darts, _ in embed_cycle(4).effective_regions()]
+    return data
+
+
+def _regions_as_object(data):
+    data["regions"] = {"darts": [], "isolated": []}
+    return data
+
+
+def _region_without_isolated(data):
+    del _with_regions(data)["regions"][0]["isolated"]
+    return data
+
+
+def _region_darts_as_int(data):
+    _with_regions(data)["regions"][0]["darts"] = 0
+    return data
+
+
+def _region_dart_as_string(data):
+    _with_regions(data)["regions"][0]["darts"][0] = "0"
+    return data
+
+
+def _region_dart_as_bool(data):
+    # it replaces dart 1, which True equals, so only the type check rejects it
+    second = _with_regions(data)["regions"][1]["darts"]
+    second[second.index(1)] = True
+    return data
+
+
+def _regions_missing_a_dart(data):
+    _with_regions(data)["regions"][0]["darts"].pop()
+    return data
+
+
+def _region_splits_an_orbit(data):
+    first, second = _with_regions(data)["regions"]
+    second["darts"].append(first["darts"].pop())
+    return data
+
+
+def _empty_region(data):
+    _with_regions(data)["regions"].append({"darts": [], "isolated": []})
+    return data
+
+
 @pytest.mark.parametrize("corrupt", [
     _edges_without_id, _dart_out_of_range, _n_as_string, _n_as_float,
     _rotation_as_list, _rotation_entry_as_int, _dart_as_string,
     _edge_id_as_string, _ends_as_strings, _end_as_float, _n_as_bool,
-    _edge_id_as_bool,
+    _edge_id_as_bool, _regions_as_object, _region_without_isolated,
+    _region_darts_as_int, _region_dart_as_string, _region_dart_as_bool,
+    _regions_missing_a_dart, _region_splits_an_orbit, _empty_region,
 ])
 def test_malformed_map_exits_2(tmp_path, capsys, corrupt):
     mpath = tmp_path / "bad.json"
@@ -244,6 +295,20 @@ def test_negative_budget_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
     assert "must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "{g}", "--param", "chi", "--k", "3"],
+    ["color", "--method", "tree"],
+    ["color", "--method", "product", "--left", "{g}"],
+])
+def test_usage_errors_exit_2(tmp_path, capsys, argv):
+    # exit 1 is for a budget that ran out
+    gpath = tmp_path / "c4.json"
+    save_json(make_cycle(4), gpath)
+    assert main([a.format(g=gpath) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_gallery_out_of_budget_fails_without_a_traceback(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from strongodd.planemaps import (
     FaceData,
     MapError,
     PlaneMultigraph,
+    _MapBuilder,
     annihilate,
     annihilation_report,
     augment_claim2,
@@ -111,6 +113,17 @@ def test_map_json_round_trip():
     bad["rotation"] = {"0": [0]}
     with pytest.raises(MapError):
         map_from_json_dict(bad)
+
+
+def test_map_json_keeps_the_regions_of_claim1_pieces():
+    # a piece's regions need not be the side-by-side default, so a file
+    # without them reloads some pieces with other faces
+    for s in range(40):
+        pm = random_planar_map(30, random.Random(s))
+        for piece in decompose_claim1(pm, chi_exact(pm.underlying).witness):
+            back = map_from_json_dict(map_to_json_dict(piece))
+            assert back.regions == piece.regions
+            assert back.face_vertex_sets() == piece.face_vertex_sets()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +270,26 @@ def test_claim2_needs_a_region_shared_by_two_components():
     apart = PlaneMultigraph(two.n, two.edges, two.rotation, regions=regions)
     with pytest.raises(MapError, match="disconnected map has no shared region to bridge"):
         augment_claim2(apart)
+
+
+def test_claim2_end_check_covers_the_whole_output(monkeypatch):
+    # the largest region hands its darts at one vertex to another region
+    # just before the snapshot, so no edge addition is to blame
+    snapshot = _MapBuilder.snapshot
+
+    def corrupted(b):
+        sizes = Counter(b.region_of.values())
+        largest = max(sizes, key=lambda r: (sizes[r], -r))
+        other = min(r for r in sizes if r != largest)
+        v = b.vert[min(d for d, r in b.region_of.items() if r == largest)]
+        for d, r in list(b.region_of.items()):
+            if r == largest and b.vert[d] == v:
+                b._set_region(d, other)
+        return snapshot(b)
+
+    monkeypatch.setattr(_MapBuilder, "snapshot", corrupted)
+    with pytest.raises(AssertionError, match="lost face boundary"):
+        augment_claim2(embed_path(6))
 
 
 def test_claim2_bridging_is_pinned():
