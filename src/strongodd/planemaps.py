@@ -269,11 +269,12 @@ def boundary_walk_vertices(m: PlaneMultigraph, cyc: Sequence[int]) -> list[int]:
 def from_neighbor_rotations(neighbors: Sequence[Sequence[int]]) -> PlaneMultigraph:
     """Map of a simple graph from per-vertex clockwise neighbor lists."""
     n = len(neighbors)
+    nbr_sets = [set(nbrs) for nbrs in neighbors]
     for u in range(n):
-        if len(set(neighbors[u])) != len(neighbors[u]):
+        if len(nbr_sets[u]) != len(neighbors[u]):
             raise MapError(f"vertex {u} lists a neighbor twice")
         for w in neighbors[u]:
-            if u not in neighbors[w]:
+            if u not in nbr_sets[w]:
                 raise MapError(f"edge ({u},{w}) listed only once")
     edges = sorted(
         {(min(u, v), max(u, v)) for u in range(n) for v in neighbors[u]}
@@ -382,19 +383,33 @@ def load_map(path) -> PlaneMultigraph:
 class _MapBuilder:
     """Mutable rotation system with geometric-region bookkeeping.
 
-    Vertices keep their snapshot-time ids; rot's keys are the live ones.
-    Darts keep the map's convention: new ones are allocated in pairs, so
-    d's twin is d ^ 1.  Regions track which orbits (and isolated
-    vertices) bound the same geometric face, which is what survives edge
-    deletions that disconnect the graph.  A region's members are its
-    darts, plus ~v for each isolated vertex v in it, so the two kinds
-    split by sign; region_of maps every member to its region, and
-    region_members maps every region to its member set.
+    Vertices keep their snapshot-time ids; first's keys are the live
+    ones.  Each rotation is a cycle linked through nxt and prv, lists
+    indexed by dart (the darts after and before a dart at its vertex;
+    entries of deleted darts are left stale), so a splice or a removal
+    next to a known dart takes O(1).  first[v] is the dart v's rotation
+    is listed from (None when v is isolated): the dart at which a Python
+    list of the rotation, edited by the same insertions and removals,
+    would start.  Darts keep the map's convention: new ones are
+    allocated in pairs, so d's twin is d ^ 1.  Regions track which
+    orbits (and isolated vertices) bound the same geometric face, which
+    is what survives edge deletions that disconnect the graph.  A
+    region's members are its darts, plus ~v for each isolated vertex v
+    in it, so the two kinds split by sign; region_of maps every member
+    to its region, and region_members maps every region to its member
+    set.
     """
 
     def __init__(self, m: PlaneMultigraph):
         self.source = m
-        self.rot = {v: list(m.rotation[v]) for v in range(m.n)}
+        self.first = {v: r[0] if r else None for v, r in enumerate(m.rotation)}
+        # nxt[d] = succ[d ^ 1], by slices
+        succ = m._succ
+        self.nxt = nxt = succ[:]
+        nxt[0::2], nxt[1::2] = succ[1::2], succ[0::2]
+        self.prv = prv = [0] * len(succ)
+        for d, after in enumerate(nxt):
+            prv[after] = d
         self.vert = dict(enumerate(m._tail))  # live dart -> the vertex it leaves
         self.next_dart_id = 2 * m.m
         self.region_of = {}
@@ -402,14 +417,28 @@ class _MapBuilder:
         self.next_region = 0
         for darts, iso in m.effective_regions():
             rid = self._new_region()
-            for x in chain(darts, (~v for v in iso)):
-                self._set_region(x, rid)
+            members = self.region_members[rid]
+            members.update(darts)
+            members.update(~v for v in iso)
+            self.region_of.update(dict.fromkeys(members, rid))
 
     # -- basic accessors ----------------------------------------------------
 
     def succ(self, d: int) -> int:
-        rot = self.rot[self.vert[d ^ 1]]
-        return rot[(rot.index(d ^ 1) + 1) % len(rot)]
+        return self.nxt[d ^ 1]
+
+    def rotation(self, v: int) -> list[int]:
+        """v's darts in rotation order, from first[v]."""
+        out = []
+        d = self.first[v]
+        if d is not None:
+            nxt = self.nxt
+            out.append(d)
+            x = nxt[d]
+            while x != d:
+                out.append(x)
+                x = nxt[x]
+        return out
 
     def orbit(self, d0: int) -> list[int]:
         cyc = [d0]
@@ -420,7 +449,12 @@ class _MapBuilder:
         return cyc
 
     def degree(self, v: int) -> int:
-        return len(self.rot[v])
+        return len(self.rotation(v))
+
+    def is_small(self, v: int) -> bool:
+        """Whether v has at most one dart, in O(1)."""
+        d = self.first[v]
+        return d is None or self.nxt[d] == d
 
     def _new_darts(self, u: int, w: int) -> tuple[int, int]:
         a = self.next_dart_id
@@ -428,6 +462,8 @@ class _MapBuilder:
         self.next_dart_id += 2
         self.vert[a] = u
         self.vert[b] = w
+        self.nxt += (a, b)  # placeholders until the darts are linked
+        self.prv += (a, b)
         return a, b
 
     def _new_region(self) -> int:
@@ -469,20 +505,20 @@ class _MapBuilder:
         rid = self._merge_regions(self.region_of[d], self.region_of[t])
         for x in (d, t):
             v = self.vert[x]
-            self.rot[v].remove(x)
-            if not self.rot[v]:
+            self._unlink(v, x)
+            if self.first[v] is None:
                 self._set_region(~v, rid)
             self._set_region(x, None)
         del self.vert[d], self.vert[t]
 
     def delete_small_vertex(self, v: int) -> None:
         """Remove a vertex of degree at most one together with its edge."""
-        if self.degree(v) > 1:
+        if not self.is_small(v):
             raise MapError(f"vertex {v} has degree {self.degree(v)} > 1")
-        if self.rot[v]:
-            self.delete_edge_by_dart(self.rot[v][0])
+        if self.first[v] is not None:
+            self.delete_edge_by_dart(self.first[v])
         self._set_region(~v, None)
-        del self.rot[v]
+        del self.first[v]
 
     def annihilate(self, v: int) -> None:
         """Replace v by a cycle of new edges through its neighbors.
@@ -491,7 +527,7 @@ class _MapBuilder:
         old corner face keeps its walk (minus v) and the neighbors bound
         exactly one new face in reversed rotation order.
         """
-        rv = list(self.rot[v])
+        rv = self.rotation(v)
         deg = len(rv)
         if deg < 2:
             raise MapError(f"annihilation needs degree >= 2 at vertex {v}")
@@ -508,25 +544,48 @@ class _MapBuilder:
             a[i], b[i] = self._new_darts(nbrs[i], nbrs[(i + 1) % deg])
         for j in range(deg):
             t_j = rv[j] ^ 1
-            rot = self.rot[nbrs[j]]
-            pos = rot.index(t_j)
-            rot[pos:pos + 1] = [a[j], b[(j - 1) % deg]]
+            # t_j is replaced by a[j], b[j - 1] in this order
+            self._insert_before(nbrs[j], t_j, a[j])
+            self._insert_before(nbrs[j], t_j, b[(j - 1) % deg])
+            self._unlink(nbrs[j], t_j)
             self._set_region(a[j], self.region_of[t_j])
             self._set_region(b[(j - 1) % deg], new_region)
             self._set_region(t_j, None)
             self._set_region(rv[j], None)
             del self.vert[rv[j]], self.vert[t_j]
-        del self.rot[v]
+        del self.first[v]
+
+    def _link(self, before: int, new: int, after: int) -> None:
+        self.nxt[before] = self.prv[after] = new
+        self.prv[new] = before
+        self.nxt[new] = after
 
     def _insert_before(self, v: int, anchor: int, new: int) -> None:
-        self.rot[v].insert(self.rot[v].index(anchor), new)
+        self._link(self.prv[anchor], new, anchor)
+        if self.first[v] == anchor:
+            self.first[v] = new
 
     def _insert_after(self, v: int, anchor: int, new: int) -> None:
-        self.rot[v].insert(self.rot[v].index(anchor) + 1, new)
+        self._link(anchor, new, self.nxt[anchor])
 
-    def _region_pieces(self, rid: int) -> list[tuple[int, int]]:
-        """Boundary pieces of a region: (sort key, anchor vertex)."""
+    def _unlink(self, v: int, x: int) -> None:
+        """Remove dart x from v's rotation."""
+        after = self.nxt[x]
+        if after == x:
+            self.first[v] = None
+            return
+        before = self.prv[x]
+        self.nxt[before] = after
+        self.prv[after] = before
+        if self.first[v] == x:
+            self.first[v] = after
+
+    def _region_pieces(self, rid: int) -> list[tuple[int, int, Optional[int]]]:
+        """Boundary pieces of a region: (sort key, anchor vertex, the
+        anchor's smallest dart in the piece, None for an isolated
+        vertex)."""
         members = self.region_members[rid]
+        vert = self.vert
         pieces = []
         seen = set()
         for d in sorted(x for x in members if x >= 0):
@@ -534,25 +593,30 @@ class _MapBuilder:
                 continue
             cyc = self.orbit(d)
             seen.update(cyc)
-            pieces.append((min(cyc), min(self.vert[x] for x in cyc)))
+            v = min(vert[x] for x in cyc)
+            pieces.append((min(cyc), v, min(x for x in cyc if vert[x] == v)))
         top = self.next_dart_id
         for v in sorted(~x for x in members if x < 0):
-            pieces.append((top + v, v))
+            pieces.append((top + v, v, None))
         return pieces
 
-    def add_edge_in_region(self, rid: int, u: int, w: int) -> None:
+    def add_edge_in_region(self, rid: int, u: int, du: Optional[int],
+                           w: int, dw: Optional[int]) -> tuple[int, int]:
         """Bridge two boundary pieces of one region (used to connect
-        components; the region keeps its identity)."""
+        components; the region keeps its identity).  The new edge enters
+        the rotation at u before du and at w before dw, each the vertex's
+        smallest dart in the region, or None for an isolated vertex.
+        Returns the new darts at u and at w."""
         nu, nw = self._new_darts(u, w)
-        for v, nd in ((u, nu), (w, nw)):
-            if not self.rot[v]:
-                self.rot[v] = [nd]
+        for v, anchor, nd in ((u, du, nu), (w, dw, nw)):
+            if anchor is None:
+                self.first[v] = self.nxt[nd] = self.prv[nd] = nd
                 self._set_region(~v, None)
             else:
-                anchor = min(d for d in self.rot[v] if self.region_of[d] == rid)
                 self._insert_before(v, anchor, nd)
         self._set_region(nu, rid)
         self._set_region(nw, rid)
+        return nu, nw
 
     def add_corner_edge(self, x: int, y: int) -> int:
         """Add an edge cutting the corner (x, y) off its face: the face
@@ -590,10 +654,10 @@ class _MapBuilder:
     def snapshot(self) -> PlaneMultigraph:
         """The current map with vertices and darts renumbered in order,
         its regions and labels, after a check of the Euler identity."""
-        verts = sorted(self.rot)
+        verts = sorted(self.first)
         vmap = {v: i for i, v in enumerate(verts)}
         edge_min_darts = sorted(d for d in self.vert if d % 2 == 0)
-        dmap = {}
+        dmap = [0] * self.next_dart_id
         edges = []
         for e, d in enumerate(edge_min_darts):
             t = d ^ 1
@@ -601,7 +665,7 @@ class _MapBuilder:
             dmap[d] = 2 * e
             dmap[t] = 2 * e + 1
         rotation = tuple(
-            tuple(dmap[d] for d in self.rot[v]) for v in verts
+            tuple(map(dmap.__getitem__, self.rotation(v))) for v in verts
         )
         regions = tuple(sorted(
             (
@@ -737,7 +801,7 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
         for v in range(m.n):
             if v in cls:
                 continue
-            if b.degree(v) <= 1:
+            if b.is_small(v):
                 b.delete_small_vertex(v)
             else:
                 b.annihilate(v)
@@ -846,7 +910,8 @@ class _EndBlocks:
 
     def __init__(self, b: _MapBuilder):
         self.b = b
-        self.edge_block, cuts = _blocks(b.rot, b.vert, sorted(b.rot))
+        rot = {v: b.rotation(v) for v in b.first}
+        self.edge_block, cuts = _blocks(rot, b.vert, sorted(rot))
         verts = [set() for _ in range(len(set(self.edge_block.values())))]
         for d, v in b.vert.items():
             verts[self.edge_block[d >> 1]].add(v)
@@ -854,8 +919,8 @@ class _EndBlocks:
         self.key = [tuple(sorted(vs)[:2]) for vs in verts]
         self.ends = [{} for _ in verts]
         for t in cuts:
-            rot = b.rot[t]
-            for a, y in zip(rot, rot[1:] + rot[:1]):
+            for a in rot[t]:
+                y = b.nxt[a]
                 i = self.edge_block[a >> 1]
                 if i != self.edge_block[y >> 1]:
                     self.ends[i].setdefault(t, set()).add(a)
@@ -952,14 +1017,19 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     for pieces, rid in regions:
         if len(pieces) < 2:
             continue
-        u = pieces[0][1]
-        for _, w in pieces[1:]:
+        _, u, du = pieces[0]
+        for _, w, dw in pieces[1:]:
             cu, cw = find(comp_of[u]), find(comp_of[w])
             if cu != cw:
-                b.add_edge_in_region(rid, u, w)
+                nu, nw = b.add_edge_in_region(rid, u, du, w, dw)
                 parent[cw] = cu
                 merges_left -= 1
-                u = min(u, w)  # the anchor of the merged piece
+                # the anchor of the merged piece, and its smallest dart
+                # there: new darts are larger than all old ones
+                if w < u:
+                    u, du = w, nw if dw is None else dw
+                elif du is None:
+                    du = nu
     if merges_left:
         raise MapError("disconnected map has no shared region to bridge")
 

@@ -83,21 +83,27 @@ lie inside it, and the vertices outside it stay out of ``uncolored``
 and never enter a blocked or used mask, so they take no part in any
 test.  The node counts are those of a separate search per component.
 
+The search runs on the implied graph.  Under ALL_ODD each color class
+inside a scope is an independent set of odd size, so in a scope whose
+induced graph has no independent triple every class has one vertex:
+the scope is rainbow in every solution, and its missing pairs are edges
+of every solution.  Adding them and repeating on the larger graph until
+no scope fires gives the implied graph.  More edges never create an
+independent triple, so the fixpoint does not depend on the order in
+which scopes are examined.  It is computed once per instance, and
+``nbr`` is then the one adjacency the search reads: rule (a)'s blocked
+masks and ``others`` are built from it.  Every solution of the instance
+is a proper coloring of the implied graph, so the two problems have the
+same solutions: a completed search is still a refutation, and a YES is
+a proper coloring of a supergraph that passed every parity check.  The
+conflict relation does not change, since an implied pair already shares
+a scope.  The vertex order stays sorted by the input degrees.
+EXISTS_ODD and instances without scopes imply no edges, and their
+searches read the input adjacency, ``given``, itself.
+
 Each component's lower bound, from lower_bound(), is the larger of two
-greedy cliques: one grown in the graph and one in the implied graph,
-``rainbow``.  Under ALL_ODD each color class inside a scope is an
-independent set of odd size, so in a scope whose induced graph has no
-independent triple every class has one vertex: the scope is rainbow in
-every solution, and its missing pairs are edges of every solution.
-Adding them and repeating on the larger graph until no scope fires
-gives the implied graph; every solution is a proper coloring of it, so
-the same greedy clique grown there is a lower bound too.  More edges
-never create an independent triple, so the fixpoint does not depend on
-the order in which scopes are examined.  Only where the search starts
-moves: the order, the masks and run() use the input graph, so every k
-that is still searched makes the same nodes and the same witness.
-EXISTS_ODD and instances without scopes imply no edges, and then
-``rainbow`` is the input adjacency itself.
+greedy cliques, one grown in the input graph and one in the implied
+graph; every solution is a proper coloring of both.
 
 The components are visited highest lower bound first, ties to the
 smallest vertex, and each one's ascending search starts at max(its
@@ -166,8 +172,10 @@ class DecisionResult:
 class SolveResult:
     """Outcome of an ascending-k exact solve.
 
-    Every k below lo is refuted, by a completed search or by the lower
-    bound, the larger greedy clique of the graph and the implied graph.
+    Every k below lo is refuted, by a completed search on the implied
+    graph (the input graph plus the pairs of its rainbow scopes, which
+    every solution keeps apart) or by the lower bound, the larger greedy
+    clique of the input graph and the implied graph.
     When every component's search finds a coloring, value = lo = hi,
     optimal is True and witness uses value colors; with no vertices
     there are no components, and value = lo = hi = 0.  When the budget
@@ -250,18 +258,70 @@ def _has_independent_triple(nbr, s, members) -> bool:
     return False
 
 
+def _rainbow_closure(given, scopes, smask, vsmask) -> list:
+    """The adjacency given closed under rainbow scopes, or given itself
+    when no scope adds an edge.
+
+    Under ALL_ODD a scope with no independent triple in the graph is
+    rainbow in every solution, so its missing pairs are edges of every
+    solution; the rule is applied again on the larger graph until
+    nothing changes."""
+    nbr = list(given)
+    grown = False
+    # scopes of at most one vertex have no pair to add
+    queued = [bool(s & (s - 1)) for s in smask]
+    work = [sid for sid, q in enumerate(queued) if q]
+    i = 0
+    while i < len(work):
+        sid = work[i]
+        i += 1
+        queued[sid] = False
+        s = smask[sid]
+        members = sorted(set(scopes[sid]))
+        size = len(members)
+        twice_inside = 0
+        for v in members:
+            twice_inside += (nbr[v] & s).bit_count()
+        missing = size * (size - 1) // 2 - twice_inside // 2
+        # Mantel: without an independent triple the missing pairs are
+        # triangle-free, so there are at most size**2 // 4 of them
+        if not missing or missing > size * size // 4:
+            continue
+        if size > 2 and _has_independent_triple(nbr, s, members):
+            continue
+        grown = True
+        for j, u in enumerate(members):
+            for v in members[j + 1:]:
+                if nbr[u] >> v & 1:
+                    continue
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+                # only a scope holding both ends can change its answer;
+                # sid is one, and it is a clique now
+                common = (vsmask[u] & vsmask[v]) ^ (1 << sid)
+                while common:
+                    low = common & -common
+                    t = low.bit_length() - 1
+                    common ^= low
+                    if not queued[t]:
+                        queued[t] = True
+                        work.append(t)
+    return nbr if grown else given
+
+
 class _ParitySearch:
     """The search for one instance (graph, scopes, mode); run() decides
     one k on one part of it.  The masks built here depend on the
-    instance only."""
+    instance only: given is the input adjacency, and nbr, the adjacency
+    every rule reads, is given closed under rainbow scopes under ALL_ODD
+    (given itself when no scope fires, and in the other mode)."""
 
     def __init__(self, n, adj, scopes, mode):
         self.n = n
         self.mode = mode
         self.order = order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-        self.nbr = [_bits(a) for a in adj]
-        self.scopes = scopes
-        self.smask = [_bits(s) for s in scopes]
+        self.given = [_bits(a) for a in adj]
+        self.smask = smask = [_bits(s) for s in scopes]
         self.vsmask = vsmask = [0] * n
         # closing[v]: the scopes whose last member in the order is v
         self.closing = closing = [0] * n
@@ -273,71 +333,22 @@ class _ParitySearch:
                 vsmask[v] |= 1 << sid
             if members:
                 closing[max(members, key=rank.__getitem__)] |= 1 << sid
+        # the adjacency the search reads
+        self.nbr = nbr = (
+            _rainbow_closure(self.given, scopes, smask, vsmask) if mode == ALL_ODD else self.given
+        )
         # the scopes of v's neighbors that do not contain v
-        self.others = [_or(vsmask[u] for u in a) & ~vsmask[v] for v, a in enumerate(adj)]
-
-    @cached_property
-    def rainbow(self) -> list:
-        """The adjacency closed under rainbow scopes, or nbr itself when
-        no scope adds an edge.
-
-        Under ALL_ODD a scope with no independent triple in the graph is
-        rainbow in every solution, so its missing pairs are edges of
-        every solution; the rule is applied again on the larger graph
-        until nothing changes.  Other modes, and instances without
-        scopes, imply nothing."""
-        if self.mode != ALL_ODD:
-            return self.nbr
-        nbr = list(self.nbr)
-        grown = False
-        scopes, smask, vsmask = self.scopes, self.smask, self.vsmask
-        # scopes of at most one vertex have no pair to add
-        queued = [bool(s & (s - 1)) for s in smask]
-        work = [sid for sid, q in enumerate(queued) if q]
-        i = 0
-        while i < len(work):
-            sid = work[i]
-            i += 1
-            queued[sid] = False
-            s = smask[sid]
-            members = sorted(set(scopes[sid]))
-            size = len(members)
-            twice_inside = 0
-            for v in members:
-                twice_inside += (nbr[v] & s).bit_count()
-            missing = size * (size - 1) // 2 - twice_inside // 2
-            # Mantel: without an independent triple the missing pairs are
-            # triangle-free, so there are at most size**2 // 4 of them
-            if not missing or missing > size * size // 4:
-                continue
-            if size > 2 and _has_independent_triple(nbr, s, members):
-                continue
-            grown = True
-            for j, u in enumerate(members):
-                for v in members[j + 1:]:
-                    if nbr[u] >> v & 1:
-                        continue
-                    nbr[u] |= 1 << v
-                    nbr[v] |= 1 << u
-                    # only a scope holding both ends can change its
-                    # answer; sid is one, and it is a clique now
-                    common = (vsmask[u] & vsmask[v]) ^ (1 << sid)
-                    while common:
-                        low = common & -common
-                        t = low.bit_length() - 1
-                        common ^= low
-                        if not queued[t]:
-                            queued[t] = True
-                            work.append(t)
-        return nbr if grown else self.nbr
+        self.others = [_or(vsmask[u] for u in _members(a)) & ~vsmask[v] for v, a in enumerate(nbr)]
 
     def lower_bound(self, part) -> int:
         """The larger of two cliques, each grown greedily from the first
-        16 vertices of part: one in the graph and one in the graph closed
-        under rainbow scopes.  No coloring of part has fewer colors."""
-        bound = _greedy_clique(self.nbr, part)
-        if self.rainbow is not self.nbr:
-            bound = max(bound, _greedy_clique(self.rainbow, part))
+        16 vertices of part: one in the input graph and one in the
+        implied graph the search reads.  The greedy clique of the larger
+        graph can be the smaller one, so the bound keeps both.  No
+        coloring of part has fewer colors."""
+        bound = _greedy_clique(self.given, part)
+        if self.nbr is not self.given:
+            bound = max(bound, _greedy_clique(self.nbr, part))
         return bound
 
     @cached_property

@@ -450,7 +450,7 @@ def test_chi_pfo_node_count_pinned_on_claim2_piece():
     pieces = decompose_claim1(pm, chi_exact(pm.underlying).witness)
     piece = max(pieces, key=lambda q: q.n)
     r = chi_pfo_exact(augment_claim2(piece), Budget(max_nodes=10_000))
-    assert (piece.n, r.value, r.optimal, r.lo, r.nodes_explored) == (13, 5, True, 5, 136)
+    assert (piece.n, r.value, r.optimal, r.lo, r.nodes_explored) == (13, 5, True, 5, 18)
 
 
 def test_chi_pfo_budget_exhaustion_keeps_a_facially_odd_witness():
@@ -532,7 +532,7 @@ def test_pipeline_counts_the_nodes_of_its_pieces():
     pm = random_planar_map(50, random.Random(1))
     phi = chi_exact(pm.underlying, Budget(max_nodes=10_000)).witness
     res = strong_odd_via_planar_detailed(pm, phi, Budget(max_nodes=50_000))
-    assert (res.coloring.k, res.pfo_values, res.nodes_explored) == (21, (6, 5, 5, 5), 397)
+    assert (res.coloring.k, res.pfo_values, res.nodes_explored) == (21, (6, 5, 5, 5), 226)
     total = 0
     for piece in decompose_claim1(pm, phi):
         if piece.n >= 3:

@@ -3,10 +3,11 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from strongodd.colorings import is_odd, is_proper, is_strong_odd
+from strongodd.colorings import Coloring, is_odd, is_proper, is_strong_odd
 from strongodd.gallery import gallery
 from strongodd.graphs import (
     Graph,
@@ -26,6 +27,7 @@ from strongodd.solver import (
     Budget,
     _ParitySearch,
     _greedy_clique,
+    _members,
     _strong_odd_scopes,
     brute_force_chi_so,
     chi_exact,
@@ -107,7 +109,7 @@ def test_determinism():
         assert a.nodes_explored == b.nodes_explored
 
 
-@pytest.mark.parametrize("name,nodes", [("G12a", 807), ("G12b", 195), ("G7", 21)])
+@pytest.mark.parametrize("name,nodes", [("G12a", 616), ("G12b", 12), ("G7", 7)])
 def test_gallery_node_counts_pinned(name, nodes):
     res = chi_so_exact(gallery(name).graph)
     assert res.optimal and res.nodes_explored == nodes
@@ -116,7 +118,7 @@ def test_gallery_node_counts_pinned(name, nodes):
 @pytest.mark.parametrize("solve,value,nodes", [
     (chi_exact, 2, 20),
     (chi_odd_exact, 4, 240),
-    (chi_so_exact, 5, 1629),
+    (chi_so_exact, 5, 816),
     (chi_square_exact, 5, 26),
 ])
 def test_grid_node_counts_pinned(solve, value, nodes):
@@ -128,15 +130,15 @@ def test_grid_node_counts_pinned(solve, value, nodes):
 # (n, p, value, optimal, lo, nodes) of chi_so under a 10,000-node budget
 # on G(n, p) drawn from random.Random(f"{n}:{p}"); four solves give up.
 _GNP_PINS = [
-    (12, 0.2, 3, True, 3, 13), (12, 0.3, 6, True, 6, 69),
-    (12, 0.5, 12, True, 12, 36), (14, 0.2, 5, True, 5, 22),
-    (14, 0.3, 6, True, 6, 81), (14, 0.5, 14, True, 14, 411),
-    (16, 0.2, 5, True, 5, 674), (16, 0.3, 10, True, 10, 1055),
-    (16, 0.5, 13, True, 13, 554), (18, 0.2, 6, True, 6, 243),
-    (18, 0.3, 7, True, 7, 3700), (18, 0.5, 18, True, 18, 1960),
+    (12, 0.2, 3, True, 3, 12), (12, 0.3, 6, True, 6, 55),
+    (12, 0.5, 12, True, 12, 12), (14, 0.2, 5, True, 5, 17),
+    (14, 0.3, 6, True, 6, 68), (14, 0.5, 14, True, 14, 373),
+    (16, 0.2, 5, True, 5, 583), (16, 0.3, 10, True, 10, 396),
+    (16, 0.5, 13, True, 13, 376), (18, 0.2, 6, True, 6, 167),
+    (18, 0.3, 7, True, 7, 1674), (18, 0.5, 18, True, 18, 1960),
     (20, 0.2, None, False, 7, 10001), (20, 0.3, None, False, 11, 10001),
     (20, 0.5, 20, True, 20, 2620), (22, 0.2, None, False, 7, 10001),
-    (22, 0.3, None, False, 10, 10001), (22, 0.5, 22, True, 22, 2280),
+    (22, 0.3, None, False, 10, 10001), (22, 0.5, 22, True, 22, 1937),
 ]
 
 
@@ -185,16 +187,18 @@ def _claim2_pieces():
 
 
 def test_engine_decisions_are_pinned():
-    # recorded before the search state became color-indexed: every
-    # decision from the clique bound up to the first YES (or the first
-    # give-up at 5,000 nodes) and one k above it, each also cut short
-    # at 1, 37 and 1,000 nodes, keeps its status, node count and witness
+    # recorded when the search adjacency became the implied graph: every
+    # decision from the input graph's clique bound up to the first YES
+    # (or the first give-up at 5,000 nodes) and one k above it, each
+    # also cut short at 1, 37 and 1,000 nodes, keeps its status, node
+    # count and witness.  The instances without scopes or under
+    # EXISTS_ODD made the same decisions before the implied edges
     h = hashlib.sha256()
     for n, adj, scopes, mode in _engine_instances():
         # the whole instance as one part, components and all
         search = _ParitySearch(n, adj, scopes, mode)
         whole, color = search.order, [0] * n
-        k = _greedy_clique(search.nbr, whole)
+        k = _greedy_clique(search.given, whole)
         last = n
         while k <= last:
             for cap in (1, 37, 1000, 5000):
@@ -204,7 +208,7 @@ def test_engine_decisions_are_pinned():
             if status != "no":
                 last = min(last, k + 1)
             k += 1
-    assert h.hexdigest()[:16] == "f01d797e7e5a61d8"
+    assert h.hexdigest()[:16] == "edce4645b2bf5eac"
 
 
 def test_rainbow_is_the_fixpoint_of_the_scope_rule():
@@ -231,11 +235,11 @@ def test_rainbow_is_the_fixpoint_of_the_scope_rule():
                 have |= missing
                 changed |= bool(missing)
         search = _ParitySearch(n, adj, scopes, mode)
-        assert search.rainbow == [
+        assert search.nbr == [
             sum(1 << u for u in range(n) if (min(u, v), max(u, v)) in have)
             for v in range(n)
         ]
-        assert (search.rainbow is search.nbr) == (len(have) == given)
+        assert (search.nbr is search.given) == (len(have) == given)
         grown += len(have) > given
     assert grown > len(instances) // 2
 
@@ -244,7 +248,7 @@ def test_rainbow_derivation_implies_nothing_outside_all_odd_scopes():
     g = gallery("G7").graph
     for scopes, mode in (([], ALL_ODD), (_strong_odd_scopes(g), EXISTS_ODD)):
         search = _ParitySearch(g.n, g.adj, scopes, mode)
-        assert search.rainbow is search.nbr
+        assert search.nbr is search.given
         whole = search.order
         assert search.lower_bound(whole) == _greedy_clique(search.nbr, whole) == 3
 
@@ -258,7 +262,7 @@ def test_implied_bound_is_below_the_oracle():
         parts = search.parts()
         bound = max((search.lower_bound(part) for part in parts), default=0)
         assert bound <= brute_force_chi_so(g)
-        raised += bound > max((_greedy_clique(search.nbr, part) for part in parts), default=0)
+        raised += bound > max((_greedy_clique(search.given, part) for part in parts), default=0)
     assert raised > 50
 
 
@@ -269,13 +273,129 @@ def test_implied_bound_is_below_the_facially_odd_value():
     for n, adj, faces, mode in _claim2_pieces():
         search = _ParitySearch(n, adj, faces, mode)
         whole, color = search.order, [0] * n
-        k = _greedy_clique(search.nbr, whole)
+        k = _greedy_clique(search.given, whole)
         while search.run(k, whole, color, 10**6, math.inf)[0] == "no":
             k += 1
         bound = search.lower_bound(whole)
         assert bound <= k
         tight += bound == k
     assert tight >= 10
+
+
+def _implied_pairs(search):
+    return [(u, v) for u in range(search.n)
+            for v in _members(search.nbr[u] & ~search.given[u]) if u < v]
+
+
+def test_implied_edges_hold_in_every_solution():
+    # every coloring is a relabeling of one with color(v) <= v, and an
+    # implied pair's two colors differ under any relabeling, so testing
+    # those colorings covers every strong odd coloring
+    rng = random.Random(20)
+    fired = solutions = 0
+    for _ in range(150):
+        g = _random_graph(rng, max_n=7)
+        search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
+        pairs = _implied_pairs(search)
+        if not pairs:
+            continue
+        fired += 1
+        for colors in itertools.product(*(range(v + 1) for v in range(g.n))):
+            if is_strong_odd(g, Coloring(colors)) == []:
+                solutions += 1
+                assert all(colors[u] != colors[v] for u, v in pairs)
+    assert fired > 50 and solutions > 1000
+
+
+def _meets_all_odd(adj_bits, scopes, color) -> bool:
+    """Proper on the adjacency, and every color odd or absent in every
+    scope."""
+    return (all(color[u] != color[v] for u, a in enumerate(adj_bits) for v in _members(a))
+            and all(c % 2 for s in scopes for c in Counter(color[v] for v in s).values()))
+
+
+def test_yes_witnesses_are_proper_on_the_implied_graph():
+    witnesses = 0
+    for n, adj, scopes, mode in _engine_instances():
+        if mode != ALL_ODD:
+            continue
+        search = _ParitySearch(n, adj, scopes, mode)
+        whole, color = search.order, [0] * n
+        k = search.lower_bound(whole)
+        while (status := search.run(k, whole, color, 5000, math.inf)[0]) == "no":
+            k += 1
+        if status == "yes":
+            witnesses += 1
+            # nbr holds the input edges, so the witness is a solution
+            assert all(g & ~a == 0 for g, a in zip(search.given, search.nbr))
+            assert _meets_all_odd(search.nbr, scopes, color)
+    assert witnesses > 60
+
+
+def _reference_run(search, k, scopes) -> tuple:
+    """run() on the whole instance, with rule (c) tested in full after
+    every assignment: every color of every scope, closed ones included.
+    Same order, canonical colors and adjacency, and one node per color
+    tried, so (status, nodes) must equal run()'s."""
+    order, n = search.order, search.n
+    nbrs = [list(_members(a)) for a in search.nbr]
+    color = [None] * n
+    nodes = 0
+
+    def pruned():
+        for s in scopes:
+            count = Counter(color[v] for v in s)
+            for e in range(k):
+                if count[e] and count[e] % 2 == 0 and not any(
+                    color[u] is None and all(color[w] != e for w in nbrs[u]) for u in s
+                ):
+                    return True
+        return False
+
+    def extend(pos, top):
+        nonlocal nodes
+        if pos == n:
+            return True
+        v = order[pos]
+        for c in range(min(top + 2, k)):
+            if any(color[w] == c for w in nbrs[v]):
+                continue
+            nodes += 1
+            color[v] = c
+            if not pruned() and extend(pos + 1, max(top, c)):
+                return True
+        color[v] = None
+        return False
+
+    return ("yes" if extend(0, -1) else "no"), nodes
+
+
+def test_incremental_rule_c_prunes_what_the_full_test_prunes():
+    # the reference reads the search's order and its one adjacency, nbr,
+    # so run() must make exactly its nodes; a search whose blocked masks
+    # still read the input graph makes more, and fails here
+    instances = [i for i in _engine_instances() if i[0] <= 12 and i[3] == ALL_ODD and i[2]]
+    compared = 0
+    for n, adj, scopes, mode in instances:
+        search = _ParitySearch(n, adj, scopes, mode)
+        whole, color = search.order, [0] * n
+        k = _greedy_clique(search.given, whole)
+        while True:
+            status, nodes = search.run(k, whole, color, math.inf, math.inf)
+            assert (status, nodes) == _reference_run(search, min(k, n), scopes)
+            compared += 1
+            if status == "yes":
+                break
+            k += 1
+    assert compared > 40
+
+
+def test_the_planar_map_that_gave_up_is_certified():
+    # searched on the input graph, k = 7 stayed open after 2M nodes
+    g = random_planar_map(40, random.Random(40)).underlying
+    res = chi_so_exact(g, Budget(max_nodes=500_000))
+    assert (res.value, res.optimal, res.nodes_explored) == (7, True, 356_564)
+    assert is_strong_odd(g, res.witness) == []
 
 
 def test_the_implied_bound_decides_at_once():
@@ -413,13 +533,13 @@ def test_disjoint_union_certifies_per_component():
     g = _union_3()
     res = chi_so_exact(g, Budget(max_nodes=2_000))
     assert (res.value, res.optimal, res.lo, res.hi) == (9, True, 9, 9)
-    assert res.nodes_explored == 570
+    assert res.nodes_explored == 263
     assert is_strong_odd(g, res.witness) == [] and res.witness.k == 9
     # K4 has the larger clique bound, so it is searched first and P4
-    # starts at k = 4: 4 + 6 nodes, with nothing to refute
+    # starts at k = 4: 4 + 4 nodes, with nothing to refute
     g = disjoint_union(make_path(4), make_complete(4))
     res = chi_so_exact(g)
-    assert (res.value, res.nodes_explored) == (4, 10)
+    assert (res.value, res.nodes_explored) == (4, 8)
     assert is_strong_odd(g, res.witness) == [] and res.witness.k == 4
 
 
