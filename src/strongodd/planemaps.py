@@ -204,14 +204,19 @@ class PlaneMultigraph:
                 regions.append((frozenset(cyc), frozenset()))
         return tuple(sorted(regions, key=lambda r: min(r[0]) if r[0] else 2 * self.m))
 
-    def face_vertex_sets(self) -> tuple[frozenset[int], ...]:
-        """Geometric face boundaries as vertex sets.  An isolated vertex
-        inside a face is a point component of its boundary."""
+    @cached_property
+    def _face_vertex_sets(self) -> tuple[frozenset[int], ...]:
         tail = self._tail
         return tuple(
             frozenset(map(tail.__getitem__, darts)) | iso
             for darts, iso in self.effective_regions()
         )
+
+    def face_vertex_sets(self) -> tuple[frozenset[int], ...]:
+        """Geometric face boundaries as vertex sets, computed once per
+        map.  An isolated vertex inside a face is a point component of
+        its boundary."""
+        return self._face_vertex_sets
 
     def relabel_to_parent(self, vertices: Iterable[int]) -> frozenset[int]:
         if self.labels is None:
@@ -377,7 +382,7 @@ def load_map(path) -> PlaneMultigraph:
 
 
 # ---------------------------------------------------------------------------
-# Mutable builder used by annihilation / decomposition / augmentation
+# Mutable builder used by annihilation / augmentation
 # ---------------------------------------------------------------------------
 
 class _MapBuilder:
@@ -393,8 +398,8 @@ class _MapBuilder:
     would start.  Darts keep the map's convention: new ones are
     allocated in pairs, so d's twin is d ^ 1.  Regions track which
     orbits (and isolated vertices) bound the same geometric face, which
-    is what survives edge deletions that disconnect the graph.  A
-    region's members are its darts, plus ~v for each isolated vertex v
+    is what a disconnected map needs to keep its faces.  A region's
+    members are its darts, plus ~v for each isolated vertex v
     in it, so the two kinds split by sign; region_of maps every member
     to its region, and region_members maps every region to its member
     set.
@@ -448,14 +453,6 @@ class _MapBuilder:
             d = self.succ(d)
         return cyc
 
-    def degree(self, v: int) -> int:
-        return len(self.rotation(v))
-
-    def is_small(self, v: int) -> bool:
-        """Whether v has at most one dart, in O(1)."""
-        d = self.first[v]
-        return d is None or self.nxt[d] == d
-
     def _new_darts(self, u: int, w: int) -> tuple[int, int]:
         a = self.next_dart_id
         b = a + 1
@@ -483,42 +480,7 @@ class _MapBuilder:
             self.region_of[x] = rid
             self.region_members[rid].add(x)
 
-    def _merge_regions(self, r1: int, r2: int) -> int:
-        """Join two regions into one; returns the id that survives.  The
-        region with fewer members is dropped, so its members are the ones
-        that move, each O(log n) times in all (region ids never reach a
-        snapshot)."""
-        if r1 == r2:
-            return r1
-        keep, drop = r1, r2
-        if len(self.region_members[r1]) < len(self.region_members[r2]):
-            keep, drop = r2, r1
-        for x in list(self.region_members[drop]):
-            self._set_region(x, keep)
-        del self.region_members[drop]
-        return keep
-
     # -- mutations -----------------------------------------------------------
-
-    def delete_edge_by_dart(self, d: int) -> None:
-        t = d ^ 1
-        rid = self._merge_regions(self.region_of[d], self.region_of[t])
-        for x in (d, t):
-            v = self.vert[x]
-            self._unlink(v, x)
-            if self.first[v] is None:
-                self._set_region(~v, rid)
-            self._set_region(x, None)
-        del self.vert[d], self.vert[t]
-
-    def delete_small_vertex(self, v: int) -> None:
-        """Remove a vertex of degree at most one together with its edge."""
-        if not self.is_small(v):
-            raise MapError(f"vertex {v} has degree {self.degree(v)} > 1")
-        if self.first[v] is not None:
-            self.delete_edge_by_dart(self.first[v])
-        self._set_region(~v, None)
-        del self.first[v]
 
     def annihilate(self, v: int) -> None:
         """Replace v by a cycle of new edges through its neighbors.
@@ -544,10 +506,11 @@ class _MapBuilder:
             a[i], b[i] = self._new_darts(nbrs[i], nbrs[(i + 1) % deg])
         for j in range(deg):
             t_j = rv[j] ^ 1
-            # t_j is replaced by a[j], b[j - 1] in this order
+            # t_j is replaced by a[j], b[j - 1] in this order; a rotation
+            # listed from t_j is listed from a[j] after the first insertion
             self._insert_before(nbrs[j], t_j, a[j])
             self._insert_before(nbrs[j], t_j, b[(j - 1) % deg])
-            self._unlink(nbrs[j], t_j)
+            self._unlink(t_j)
             self._set_region(a[j], self.region_of[t_j])
             self._set_region(b[(j - 1) % deg], new_region)
             self._set_region(t_j, None)
@@ -568,17 +531,12 @@ class _MapBuilder:
     def _insert_after(self, v: int, anchor: int, new: int) -> None:
         self._link(anchor, new, self.nxt[anchor])
 
-    def _unlink(self, v: int, x: int) -> None:
-        """Remove dart x from v's rotation."""
-        after = self.nxt[x]
-        if after == x:
-            self.first[v] = None
-            return
-        before = self.prv[x]
+    def _unlink(self, x: int) -> None:
+        """Remove dart x from its rotation, which must hold another dart
+        and must not be listed from x."""
+        before, after = self.prv[x], self.nxt[x]
         self.nxt[before] = after
         self.prv[after] = before
-        if self.first[v] == x:
-            self.first[v] = after
 
     def _region_pieces(self, rid: int) -> list[tuple[int, int, Optional[int]]]:
         """Boundary pieces of a region: (sort key, anchor vertex, the
@@ -772,14 +730,39 @@ def digon_expand(m: PlaneMultigraph) -> PlaneMultigraph:
 # ---------------------------------------------------------------------------
 
 def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]:
-    """Per color class: drop edges outside the class, then sweep the
-    outside vertices in ascending order, deleting those of degree at
-    most one and annihilating the rest.
+    """Per color class: the map left when every edge with no end in the
+    class is deleted and then the outside vertices are swept in
+    ascending order, each deleted if it has at most one dart left and
+    annihilated if not.
 
-    The resulting map for class i lives on the class vertices (labels
-    point back into m) and has the property, checked before it is
-    returned, that the class neighborhood of any vertex with at least
-    two class neighbors bounds one of its faces.
+    Each piece is built from the darts at its class alone.  Faces merge
+    exactly across the edges with no end in the class, so a union-find
+    over m's regions, joined across those edges, gives every kept dart
+    its region (Tarjan 1975).  An outside vertex with one class dart
+    hangs from the class by a pendant edge, which has one face on both
+    sides, so it is dropped with no merge.  An outside vertex v with
+    d >= 2 class darts, taken in v's rotation from its first one, gets
+    d new edges: edge j runs from the j-th to the (j+1)-th of their
+    heads (mod d).  At the head of class dart j the dart toward v is
+    replaced in place by the new darts of edges j and j - 1, the first
+    keeping the old dart's region and the second lying on v's new face.
+    A class vertex left with no dart stays in the region of its former
+    darts, or in its own if it had none.
+
+    The result is, dart for dart, what the deletions and annihilations
+    leave on a whole-map _MapBuilder after its snapshot: no dart of m
+    survives, so the snapshot numbers the darts in the order the
+    annihilations allocate them, which is the order here; a rotation
+    edited by in-place replacements is listed from its first dart's
+    replacement, as the builder's is; and the regions are sorted by
+    their smallest dart, then by their smallest isolated vertex, as the
+    snapshot sorts them.
+
+    The piece of class i lives on the class vertices in ascending order
+    (labels point back into m, or through m's own labels) and has the
+    property, checked before it is returned, that the class neighborhood
+    of any vertex with at least two class neighbors bounds one of its
+    faces.
     """
     g = m.underlying
     if len(m.edges) != g.m:
@@ -788,30 +771,83 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
         raise MapError("coloring length mismatch")
     if is_proper(g, phi):
         raise MapError("decomposition requires a proper coloring")
+    colors, tail = phi.colors, m._tail
+    regions = m.effective_regions()
+    region_of = [0] * len(tail)
+    iso_region = {}
+    for r, (darts, iso) in enumerate(regions):
+        for d in darts:
+            region_of[d] = r
+        iso_region.update(dict.fromkeys(iso, r))
+    # the edges that join two regions, with their ends' colors
+    joins = [(colors[u], colors[v], region_of[2 * e], region_of[2 * e + 1])
+             for e, (u, v) in enumerate(m.edges)
+             if region_of[2 * e] != region_of[2 * e + 1]]
+    classes = [[] for _ in range(phi.k)]
+    # per class, each outside vertex with a dart at the class, ascending,
+    # with those darts in rotation order; the coloring is proper, so a
+    # vertex's own class is never among them
+    outside = [[] for _ in range(phi.k)]
+    for v, rot in enumerate(m.rotation):
+        classes[colors[v]].append(v)
+        by_class = {}
+        for d in rot:
+            by_class.setdefault(colors[tail[d ^ 1]], []).append(d)
+        for c, darts in by_class.items():
+            outside[c].append((v, darts))
     pieces = []
-    for i in range(phi.k):
-        cls = {v for v in range(m.n) if phi.colors[v] == i}
-        b = _MapBuilder(m)
-        for e in range(m.m):
-            u, v = m.edges[e]
-            if u not in cls and v not in cls:
-                b.delete_edge_by_dart(2 * e)
-        # every edge left at an outside vertex ends in the class, so
-        # neither operation changes another outside vertex's degree
-        for v in range(m.n):
-            if v in cls:
+    for i, cls in enumerate(classes):
+        parent = list(range(len(regions)))
+
+        def find(r):
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            return r
+
+        for cu, cv, r1, r2 in joins:
+            if cu != i and cv != i:
+                parent[find(r1)] = find(r2)
+        pos = {v: j for j, v in enumerate(cls)}
+        edges = []
+        replaced = {}  # class dart toward an outside vertex -> its replacement
+        members = {}  # region root -> (darts, isolated vertices) of the piece
+        new_faces = []
+        hoods = []
+        for v, darts in outside[i]:
+            d = len(darts)
+            if d == 1:
+                replaced[darts[0] ^ 1] = ()
                 continue
-            if b.is_small(v):
-                b.delete_small_vertex(v)
-            else:
-                b.annihilate(v)
-        piece = b.snapshot()
-        face_sets = {piece.relabel_to_parent(s) for s in piece.face_vertex_sets()}
-        for x in range(m.n):
-            hood = frozenset(g.adj[x] & cls)
-            if len(hood) >= 2 and hood not in face_sets:
+            nbrs = [tail[x ^ 1] for x in darts]
+            base = 2 * len(edges)
+            edges += [(pos[nbrs[j]], pos[nbrs[(j + 1) % d]]) for j in range(d)]
+            for j, x in enumerate(darts):
+                a = base + 2 * j
+                replaced[x ^ 1] = (a, base + 2 * ((j - 1) % d) + 1)
+                members.setdefault(find(region_of[x ^ 1]), ([], []))[0].append(a)
+            new_faces.append(range(base + 1, base + 2 * d, 2))
+            hoods.append((v, nbrs))
+        rotation = tuple(
+            tuple(chain.from_iterable(map(replaced.__getitem__, m.rotation[u])))
+            for u in cls
+        )
+        for j, u in enumerate(cls):
+            if not rotation[j]:
+                rot = m.rotation[u]
+                r = find(region_of[rot[0]] if rot else iso_region[u])
+                members.setdefault(r, ([], []))[1].append(j)
+        out_regions = [(frozenset(ds), frozenset(iso)) for ds, iso in members.values()]
+        out_regions += [(frozenset(ds), frozenset()) for ds in new_faces]
+        out_regions.sort(key=lambda r: min(r[0]) if r[0] else 2 * len(edges) + min(r[1]))
+        labels = tuple(cls) if m.labels is None else tuple(m.labels[v] for v in cls)
+        piece = PlaneMultigraph(len(cls), tuple(edges), rotation,
+                                regions=tuple(out_regions), labels=labels)
+        _check_euler(piece)
+        face_sets = set(piece.face_vertex_sets())
+        for v, nbrs in hoods:
+            if frozenset(map(pos.__getitem__, nbrs)) not in face_sets:
                 raise MapError(
-                    f"class {i}: neighborhood {sorted(hood)} of vertex {x} "
+                    f"class {i}: neighborhood {sorted(nbrs)} of vertex {v} "
                     "is not a face boundary"
                 )
         pieces.append(piece)

@@ -179,12 +179,6 @@ def test_claim1_trivial_cases():
     assert pieces[0].n == 3 and pieces[0].m == 0
 
 
-def test_claim1_rejects_improper():
-    tri = from_neighbor_rotations([[2, 1], [0, 2], [1, 0]])
-    with pytest.raises(MapError):
-        decompose_claim1(tri, Coloring((0, 0, 1)))
-
-
 def test_claim1_property_on_random_maps():
     rng = random.Random(23)
     for _ in range(20):
@@ -212,6 +206,113 @@ def test_claim1_degree_two_outside_vertex_leaves_digon():
     piece0 = pieces[0]
     assert piece0.n == 2 and piece0.m == 2
     assert len({tuple(sorted(e)) for e in piece0.edges}) == 1
+
+
+def test_claim1_rejects_improper():
+    tri = from_neighbor_rotations([[2, 1], [0, 2], [1, 0]])
+    digon = PlaneMultigraph(2, ((0, 1), (0, 1)), ((0, 2), (3, 1)))
+    cases = [
+        (digon, Coloring((0, 1)), "decomposition requires a simple input map"),
+        (tri, Coloring((0, 1)), "coloring length mismatch"),
+        (tri, Coloring((0, 0, 1)), "decomposition requires a proper coloring"),
+    ]
+    for pm, phi, message in cases:
+        with pytest.raises(MapError) as err:
+            decompose_claim1(pm, phi)
+        assert str(err.value) == message
+
+
+def _random_proper(g, k, rng):
+    """A proper coloring drawn in a random vertex order: each vertex takes
+    a random color of range(k) that no colored neighbor has, or a new
+    color above all its neighbors' when none is free."""
+    col = [-1] * g.n
+    order = list(range(g.n))
+    rng.shuffle(order)
+    for v in order:
+        used = {col[u] for u in g.adj[v]}
+        free = [c for c in range(k) if c not in used]
+        col[v] = rng.choice(free) if free else max(used | {k - 1}) + 1
+    return Coloring(tuple(col))
+
+
+def _neighbor_rotations(pm):
+    return [[pm.head_of(d) for d in pm.rotation[v]] for v in range(pm.n)]
+
+
+def _nested_map(rng):
+    """A random map with a second one drawn inside one of its faces and
+    an isolated vertex inside another, so that its stored regions are
+    not the side-by-side default, and random labels."""
+    outer = random_planar_map(rng.randint(4, 20), rng)
+    inner = random_planar_map(rng.randint(3, 12), rng)
+    pm = from_neighbor_rotations(
+        _side_by_side(_neighbor_rotations(outer), _neighbor_rotations(inner), [[]]))
+    # the union lists outer's edges first, in outer's order
+    shift = 2 * outer.m
+    orbits = list(trace_faces(outer).faces)
+    inner_orbits = [[d + shift for d in cyc] for cyc in trace_faces(inner).faces]
+    host = list(orbits.pop(rng.randrange(len(orbits))))
+    regions = [(frozenset(host + inner_orbits.pop(rng.randrange(len(inner_orbits)))), frozenset())]
+    regions += [(frozenset(cyc), frozenset()) for cyc in orbits + inner_orbits]
+    i = rng.randrange(len(regions))
+    regions[i] = (regions[i][0], frozenset({pm.n - 1}))
+    labels = tuple(rng.sample(range(3 * pm.n), pm.n))
+    return PlaneMultigraph(pm.n, pm.edges, pm.rotation, regions=tuple(regions), labels=labels)
+
+
+def _claim1_pin_inputs():
+    """(map, coloring) pairs that the map-layer pin lacks: several
+    components with isolated vertices; maps with stored regions and
+    labels (simple Claim 1 pieces and nested maps, each also reloaded
+    from JSON, which keeps the regions and drops the labels); random
+    proper colorings with 5-8 classes (a few more where a vertex finds
+    all of them taken); and rainbow colorings."""
+    rng = random.Random(29)
+    for _ in range(12):
+        parts = [[[]]] * rng.randint(1, 3) + [
+            _neighbor_rotations(random_planar_map(rng.randint(3, 15), rng))
+            for _ in range(rng.randint(1, 3))
+        ]
+        rng.shuffle(parts)
+        pm = from_neighbor_rotations(_side_by_side(*parts))
+        yield pm, _random_proper(pm.underlying, rng.randint(5, 8), rng)
+    # few pieces are simple: a vertex with two class neighbors leaves a digon
+    pieces = []
+    while len(pieces) < 6:
+        pm = random_planar_map(rng.randint(6, 24), rng,
+                               delete_fraction=rng.choice([0.0, 0.3, 0.45]))
+        phi = _random_proper(pm.underlying, rng.randint(3, 4), rng)
+        pieces += [p for p in decompose_claim1(pm, phi)
+                   if p.n >= 3 and p.m >= 1 and p.m == p.underlying.m]
+    stored = pieces + [_nested_map(rng) for _ in range(8)]
+    for pm in stored:
+        for inp in (pm, map_from_json_dict(map_to_json_dict(pm))):
+            yield inp, _random_proper(inp.underlying, rng.randint(5, 8), rng)
+    for _ in range(20):
+        pm = random_planar_map(rng.randint(8, 50), rng,
+                               delete_fraction=rng.choice([0.0, 0.25, 0.45]))
+        yield pm, _random_proper(pm.underlying, rng.randint(5, 8), rng)
+    for pm in (from_neighbor_rotations(OCTAHEDRON), from_neighbor_rotations(PENTA_TRI),
+               random_planar_map(12, rng)):
+        yield pm, Coloring(tuple(range(pm.n)))
+
+
+def test_claim1_pieces_are_pinned():
+    # recorded before Claim 1 built each piece from the class's own darts
+    # instead of deleting edges from a builder of the whole map, which
+    # must return the same maps.  That code checked the face property
+    # against the input's labels instead of its vertex ids, so it raised
+    # on some labeled inputs; their pieces were recorded from the
+    # unlabeled copy, with the labels mapped through the input's
+    h = hashlib.sha256()
+    count = 0
+    for pm, phi in _claim1_pin_inputs():
+        for piece in decompose_claim1(pm, phi):
+            h.update(repr(_map_key(piece)).encode())
+        count += 1
+    assert count > 60
+    assert h.hexdigest()[:16] == "4e101bec2c1cb030"
 
 
 # ---------------------------------------------------------------------------
