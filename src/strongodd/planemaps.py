@@ -382,32 +382,33 @@ def load_map(path) -> PlaneMultigraph:
 
 
 # ---------------------------------------------------------------------------
-# Mutable builder used by annihilation / augmentation
+# Mutable builder used by the Claim 2 augmentation
 # ---------------------------------------------------------------------------
 
 class _MapBuilder:
-    """Mutable rotation system with geometric-region bookkeeping.
+    """Rotation system of a map that Claim 2 adds edges to, with
+    geometric-region bookkeeping.  It only adds: no dart or vertex is
+    ever removed, so every id of the source map is kept, and new darts
+    follow the old ones in the order they are allocated.
 
-    Vertices keep their snapshot-time ids; first's keys are the live
-    ones.  Each rotation is a cycle linked through nxt and prv, lists
-    indexed by dart (the darts after and before a dart at its vertex;
-    entries of deleted darts are left stale), so a splice or a removal
-    next to a known dart takes O(1).  first[v] is the dart v's rotation
-    is listed from (None when v is isolated): the dart at which a Python
-    list of the rotation, edited by the same insertions and removals,
-    would start.  Darts keep the map's convention: new ones are
-    allocated in pairs, so d's twin is d ^ 1.  Regions track which
-    orbits (and isolated vertices) bound the same geometric face, which
-    is what a disconnected map needs to keep its faces.  A region's
-    members are its darts, plus ~v for each isolated vertex v
-    in it, so the two kinds split by sign; region_of maps every member
-    to its region, and region_members maps every region to its member
-    set.
+    Each rotation is a cycle linked through nxt and prv, lists indexed
+    by dart (the darts after and before a dart at its vertex), so a
+    splice next to a known dart takes O(1).  first[v] is the dart v's
+    rotation is listed from (None when v is isolated): the dart at which
+    a Python list of the rotation, edited by the same insertions, would
+    start.  vert[d] is the vertex dart d leaves, so len(vert) is the next
+    dart id.  Darts keep the map's convention: new ones are allocated in
+    pairs, so d's twin is d ^ 1.  Regions track which orbits (and
+    isolated vertices) bound the same geometric face, which is what a
+    disconnected map needs to keep its faces.  A region's members are
+    its darts, plus ~v for each isolated vertex v in it, so the two kinds
+    split by sign; region_of maps every member to its region, and
+    region_members maps every region to its member set.
     """
 
     def __init__(self, m: PlaneMultigraph):
         self.source = m
-        self.first = {v: r[0] if r else None for v, r in enumerate(m.rotation)}
+        self.first = [r[0] if r else None for r in m.rotation]
         # nxt[d] = succ[d ^ 1], by slices
         succ = m._succ
         self.nxt = nxt = succ[:]
@@ -415,8 +416,7 @@ class _MapBuilder:
         self.prv = prv = [0] * len(succ)
         for d, after in enumerate(nxt):
             prv[after] = d
-        self.vert = dict(enumerate(m._tail))  # live dart -> the vertex it leaves
-        self.next_dart_id = 2 * m.m
+        self.vert = m._tail[:]
         self.region_of = {}
         self.region_members = {}
         self.next_region = 0
@@ -454,11 +454,9 @@ class _MapBuilder:
         return cyc
 
     def _new_darts(self, u: int, w: int) -> tuple[int, int]:
-        a = self.next_dart_id
+        a = len(self.vert)
         b = a + 1
-        self.next_dart_id += 2
-        self.vert[a] = u
-        self.vert[b] = w
+        self.vert += (u, w)
         self.nxt += (a, b)  # placeholders until the darts are linked
         self.prv += (a, b)
         return a, b
@@ -470,7 +468,7 @@ class _MapBuilder:
         return rid
 
     def _set_region(self, x: int, rid: Optional[int]) -> None:
-        """Move member x (a live dart, or ~v for an isolated vertex v)
+        """Move member x (a dart, or ~v for an isolated vertex v)
         into region rid, or out of every region when rid is None.  Every
         change of region_of and region_members goes through here."""
         old = self.region_of.pop(x, None)
@@ -481,42 +479,6 @@ class _MapBuilder:
             self.region_members[rid].add(x)
 
     # -- mutations -----------------------------------------------------------
-
-    def annihilate(self, v: int) -> None:
-        """Replace v by a cycle of new edges through its neighbors.
-
-        Each new edge is spliced next to the removed corner so that the
-        old corner face keeps its walk (minus v) and the neighbors bound
-        exactly one new face in reversed rotation order.
-        """
-        rv = self.rotation(v)
-        deg = len(rv)
-        if deg < 2:
-            raise MapError(f"annihilation needs degree >= 2 at vertex {v}")
-        nbrs = [self.vert[d ^ 1] for d in rv]
-        if len(set(nbrs)) != deg:
-            raise MapError(
-                f"vertex {v} is incident with a parallel pair; annihilation "
-                "would create a loop"
-            )
-        new_region = self._new_region()
-        a = [None] * deg
-        b = [None] * deg
-        for i in range(deg):
-            a[i], b[i] = self._new_darts(nbrs[i], nbrs[(i + 1) % deg])
-        for j in range(deg):
-            t_j = rv[j] ^ 1
-            # t_j is replaced by a[j], b[j - 1] in this order; a rotation
-            # listed from t_j is listed from a[j] after the first insertion
-            self._insert_before(nbrs[j], t_j, a[j])
-            self._insert_before(nbrs[j], t_j, b[(j - 1) % deg])
-            self._unlink(t_j)
-            self._set_region(a[j], self.region_of[t_j])
-            self._set_region(b[(j - 1) % deg], new_region)
-            self._set_region(t_j, None)
-            self._set_region(rv[j], None)
-            del self.vert[rv[j]], self.vert[t_j]
-        del self.first[v]
 
     def _link(self, before: int, new: int, after: int) -> None:
         self.nxt[before] = self.prv[after] = new
@@ -530,13 +492,6 @@ class _MapBuilder:
 
     def _insert_after(self, v: int, anchor: int, new: int) -> None:
         self._link(anchor, new, self.nxt[anchor])
-
-    def _unlink(self, x: int) -> None:
-        """Remove dart x from its rotation, which must hold another dart
-        and must not be listed from x."""
-        before, after = self.prv[x], self.nxt[x]
-        self.nxt[before] = after
-        self.prv[after] = before
 
     def _region_pieces(self, rid: int) -> list[tuple[int, int, Optional[int]]]:
         """Boundary pieces of a region: (sort key, anchor vertex, the
@@ -553,7 +508,7 @@ class _MapBuilder:
             seen.update(cyc)
             v = min(vert[x] for x in cyc)
             pieces.append((min(cyc), v, min(x for x in cyc if vert[x] == v)))
-        top = self.next_dart_id
+        top = len(vert)
         for v in sorted(~x for x in members if x < 0):
             pieces.append((top + v, v, None))
         return pieces
@@ -595,72 +550,159 @@ class _MapBuilder:
         self._set_region(n1, rid)
         return n1
 
-    def expand_edge_to_digon(self, d: int) -> None:
-        """Add an edge parallel to d's edge bounding a digon with it."""
-        t = d ^ 1
-        u, w = self.vert[d], self.vert[t]
-        d2, t2 = self._new_darts(u, w)
-        self._insert_before(u, d, d2)
-        self._insert_after(w, t, t2)
-        new_region = self._new_region()
-        self._set_region(d2, self.region_of[d])
-        self._set_region(d, new_region)
-        self._set_region(t2, new_region)
-
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> PlaneMultigraph:
-        """The current map with vertices and darts renumbered in order,
-        its regions and labels, after a check of the Euler identity."""
-        verts = sorted(self.first)
-        vmap = {v: i for i, v in enumerate(verts)}
-        edge_min_darts = sorted(d for d in self.vert if d % 2 == 0)
-        dmap = [0] * self.next_dart_id
-        edges = []
-        for e, d in enumerate(edge_min_darts):
-            t = d ^ 1
-            edges.append((vmap[self.vert[d]], vmap[self.vert[t]]))
-            dmap[d] = 2 * e
-            dmap[t] = 2 * e + 1
-        rotation = tuple(
-            tuple(map(dmap.__getitem__, self.rotation(v))) for v in verts
-        )
+        """The current map, its regions and labels, after a check of the
+        Euler identity; every id is the builder's own."""
+        vert, n = self.vert, len(self.first)
+        edges = tuple(zip(vert[0::2], vert[1::2]))
+        rotation = tuple(tuple(self.rotation(v)) for v in range(n))
         regions = tuple(sorted(
             (
-                (frozenset(dmap[x] for x in members if x >= 0),
-                 frozenset(vmap[~x] for x in members if x < 0))
+                (frozenset(x for x in members if x >= 0),
+                 frozenset(~x for x in members if x < 0))
                 for members in self.region_members.values()
                 if members
             ),
             key=lambda r: (min(r[0]) if r[0] else 2 * len(edges) + min(r[1], default=0)),
         ))
-        if self.source.labels is not None:
-            labels = tuple(self.source.labels[v] for v in verts)
-        else:
-            labels = tuple(verts)
-        out = PlaneMultigraph(
-            len(verts), tuple(edges), rotation, regions=regions, labels=labels
-        )
+        labels = self.source.labels or tuple(range(n))
+        out = PlaneMultigraph(n, edges, rotation, regions=regions, labels=labels)
         _check_euler(out)
         return out
 
 
 # ---------------------------------------------------------------------------
-# Annihilation
+# Annihilation, and the carve that Claim 1 shares with it
 # ---------------------------------------------------------------------------
+
+def _region_index(m: PlaneMultigraph) -> tuple[list[int], dict[int, int], int]:
+    """Each dart's index in m.effective_regions(), each isolated
+    vertex's, and the number of regions."""
+    regions = m.effective_regions()
+    region_of = [0] * len(m._tail)
+    iso_region = {}
+    for r, (darts, iso) in enumerate(regions):
+        for d in darts:
+            region_of[d] = r
+        iso_region.update(dict.fromkeys(iso, r))
+    return region_of, iso_region, len(regions)
+
+
+def _carve(m: PlaneMultigraph, keep: Sequence[int],
+           outside: Iterable[tuple[int, Sequence[int]]], survivors: Sequence[int],
+           index: tuple[list[int], dict[int, int], int],
+           joins: Iterable[tuple[int, int]]) -> PlaneMultigraph:
+    """The map on the ascending vertex list keep that is left when every
+    edge of m with no end in keep is deleted, and then each outside
+    vertex, in ascending order, is deleted if it has one dart into keep
+    and annihilated if it has more.
+
+    outside lists those vertices in ascending order, each with its darts
+    into keep in rotation order from its first one, whose heads must be
+    distinct; survivors lists the edges with both ends in keep, in m's
+    order; index is _region_index(m); and joins lists, for each deleted
+    edge, the regions on its two sides.
+
+    The map is built from the darts at keep alone.  Faces merge exactly
+    across the deleted edges, so a union-find over m's regions, joined
+    across those edges, gives every kept dart its region (Tarjan 1975).
+    A surviving edge keeps its darts, their regions and its place in m's
+    order, ahead of every new edge.  An outside vertex with one dart into
+    keep hangs from keep by a pendant edge, which has one face on both
+    sides, so it is dropped with no merge.  An outside vertex v with
+    d >= 2 darts into keep gets d new edges: edge j runs from the j-th
+    to the (j+1)-th of their heads (mod d).  At the head of dart j the
+    dart toward v is replaced in place by the new darts of edges j and
+    j - 1, the first keeping the old dart's region and the second lying
+    on v's new face.  A kept vertex left with no dart stays in the
+    region of its former darts, or in its own if it had none.
+
+    The result is, dart for dart, what the deletions and annihilations,
+    done one at a time on a copy of m, leave after the vertices and
+    darts still there are renumbered in order: the surviving darts are
+    older, so smaller, than all new ones, which are numbered in the
+    order the annihilations allocate them, the order here; a rotation
+    edited by in-place replacements is listed from its first dart's
+    replacement; and the regions are sorted by their smallest dart,
+    then by their smallest isolated vertex.  Labels point back into m,
+    or through m's own labels.
+    """
+    region_of, iso_region, count = index
+    parent = list(range(count))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for r1, r2 in joins:
+        parent[find(r1)] = find(r2)
+    tail = m._tail
+    pos = {v: j for j, v in enumerate(keep)}
+    edges = [(pos[tail[2 * e]], pos[tail[2 * e + 1]]) for e in survivors]
+    surviving = [d for e in survivors for d in (2 * e, 2 * e + 1)]
+    replaced = {d: (x,) for x, d in enumerate(surviving)}  # dart at keep -> darts in its place
+    members = {}  # region root -> (darts, isolated vertices) of the result
+    for x, d in enumerate(surviving):
+        members.setdefault(find(region_of[d]), ([], []))[0].append(x)
+    new_faces = []
+    for v, darts in outside:
+        d = len(darts)
+        if d == 1:
+            replaced[darts[0] ^ 1] = ()
+            continue
+        nbrs = [tail[x ^ 1] for x in darts]
+        base = 2 * len(edges)
+        edges += [(pos[nbrs[j]], pos[nbrs[(j + 1) % d]]) for j in range(d)]
+        for j, x in enumerate(darts):
+            a = base + 2 * j
+            replaced[x ^ 1] = (a, base + 2 * ((j - 1) % d) + 1)
+            members.setdefault(find(region_of[x ^ 1]), ([], []))[0].append(a)
+        new_faces.append(range(base + 1, base + 2 * d, 2))
+    rotation = tuple(
+        tuple(chain.from_iterable(map(replaced.__getitem__, m.rotation[u])))
+        for u in keep
+    )
+    for j, u in enumerate(keep):
+        if not rotation[j]:
+            rot = m.rotation[u]
+            r = region_of[rot[0]] if rot else iso_region[u]
+            members.setdefault(find(r), ([], []))[1].append(j)
+    regions = [(frozenset(ds), frozenset(iso)) for ds, iso in members.values()]
+    regions += [(frozenset(ds), frozenset()) for ds in new_faces]
+    regions.sort(key=lambda r: min(r[0]) if r[0] else 2 * len(edges) + min(r[1]))
+    labels = tuple(keep) if m.labels is None else tuple(m.labels[v] for v in keep)
+    out = PlaneMultigraph(len(keep), tuple(edges), rotation,
+                          regions=tuple(regions), labels=labels)
+    _check_euler(out)
+    return out
+
 
 def annihilate(m: PlaneMultigraph, v: int) -> PlaneMultigraph:
     """Remove v and join its neighbors by a cycle of new edges so that
-    each former corner at v bounds a face with the replacing edge.
+    each former corner at v bounds a face with the replacing edge: the
+    old corner face keeps its walk (minus v), and the neighbors bound
+    exactly one new face in reversed rotation order.
 
     Requires degree >= 2 and pairwise distinct neighbors (a parallel
     pair at v would turn into a loop).  A degree-2 vertex leaves a digon.
     """
     if not (0 <= v < m.n):
         raise MapError(f"no vertex {v}")
-    b = _MapBuilder(m)
-    b.annihilate(v)
-    return b.snapshot()
+    rv = m.rotation[v]
+    if len(rv) < 2:
+        raise MapError(f"annihilation needs degree >= 2 at vertex {v}")
+    tail = m._tail
+    if len({tail[d ^ 1] for d in rv}) != len(rv):
+        raise MapError(
+            f"vertex {v} is incident with a parallel pair; annihilation "
+            "would create a loop"
+        )
+    keep = [u for u in range(m.n) if u != v]
+    survivors = [e for e in range(m.m) if tail[2 * e] != v and tail[2 * e + 1] != v]
+    return _carve(m, keep, [(v, rv)], survivors, _region_index(m), ())
 
 
 def annihilation_report(
@@ -717,46 +759,18 @@ def annihilation_report(
     return problems
 
 
-def digon_expand(m: PlaneMultigraph) -> PlaneMultigraph:
-    """Replace every edge by a parallel pair bounding a digon."""
-    b = _MapBuilder(m)
-    for e in range(m.m):
-        b.expand_edge_to_digon(2 * e)
-    return b.snapshot()
-
-
 # ---------------------------------------------------------------------------
 # Decomposition into per-color plane multigraphs
 # ---------------------------------------------------------------------------
 
+_EMPTY_MAP = PlaneMultigraph(0, (), (), regions=(), labels=())
+
+
 def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]:
-    """Per color class: the map left when every edge with no end in the
-    class is deleted and then the outside vertices are swept in
-    ascending order, each deleted if it has at most one dart left and
-    annihilated if not.
-
-    Each piece is built from the darts at its class alone.  Faces merge
-    exactly across the edges with no end in the class, so a union-find
-    over m's regions, joined across those edges, gives every kept dart
-    its region (Tarjan 1975).  An outside vertex with one class dart
-    hangs from the class by a pendant edge, which has one face on both
-    sides, so it is dropped with no merge.  An outside vertex v with
-    d >= 2 class darts, taken in v's rotation from its first one, gets
-    d new edges: edge j runs from the j-th to the (j+1)-th of their
-    heads (mod d).  At the head of class dart j the dart toward v is
-    replaced in place by the new darts of edges j and j - 1, the first
-    keeping the old dart's region and the second lying on v's new face.
-    A class vertex left with no dart stays in the region of its former
-    darts, or in its own if it had none.
-
-    The result is, dart for dart, what the deletions and annihilations
-    leave on a whole-map _MapBuilder after its snapshot: no dart of m
-    survives, so the snapshot numbers the darts in the order the
-    annihilations allocate them, which is the order here; a rotation
-    edited by in-place replacements is listed from its first dart's
-    replacement, as the builder's is; and the regions are sorted by
-    their smallest dart, then by their smallest isolated vertex, as the
-    snapshot sorts them.
+    """Per color class: the map left on the class when every edge with
+    no end in it is deleted and every other vertex is then deleted or
+    annihilated, as _carve builds it; a class is independent, so no edge
+    survives.  A color id that no vertex has gets the empty map.
 
     The piece of class i lives on the class vertices in ascending order
     (labels point back into m, or through m's own labels) and has the
@@ -772,13 +786,8 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
     if is_proper(g, phi):
         raise MapError("decomposition requires a proper coloring")
     colors, tail = phi.colors, m._tail
-    regions = m.effective_regions()
-    region_of = [0] * len(tail)
-    iso_region = {}
-    for r, (darts, iso) in enumerate(regions):
-        for d in darts:
-            region_of[d] = r
-        iso_region.update(dict.fromkeys(iso, r))
+    index = _region_index(m)
+    region_of = index[0]
     # the edges that join two regions, with their ends' colors
     joins = [(colors[u], colors[v], region_of[2 * e], region_of[2 * e + 1])
              for e, (u, v) in enumerate(m.edges)
@@ -797,59 +806,21 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
             outside[c].append((v, darts))
     pieces = []
     for i, cls in enumerate(classes):
-        parent = list(range(len(regions)))
-
-        def find(r):
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            return r
-
-        for cu, cv, r1, r2 in joins:
-            if cu != i and cv != i:
-                parent[find(r1)] = find(r2)
-        pos = {v: j for j, v in enumerate(cls)}
-        edges = []
-        replaced = {}  # class dart toward an outside vertex -> its replacement
-        members = {}  # region root -> (darts, isolated vertices) of the piece
-        new_faces = []
-        hoods = []
-        for v, darts in outside[i]:
-            d = len(darts)
-            if d == 1:
-                replaced[darts[0] ^ 1] = ()
-                continue
-            nbrs = [tail[x ^ 1] for x in darts]
-            base = 2 * len(edges)
-            edges += [(pos[nbrs[j]], pos[nbrs[(j + 1) % d]]) for j in range(d)]
-            for j, x in enumerate(darts):
-                a = base + 2 * j
-                replaced[x ^ 1] = (a, base + 2 * ((j - 1) % d) + 1)
-                members.setdefault(find(region_of[x ^ 1]), ([], []))[0].append(a)
-            new_faces.append(range(base + 1, base + 2 * d, 2))
-            hoods.append((v, nbrs))
-        rotation = tuple(
-            tuple(chain.from_iterable(map(replaced.__getitem__, m.rotation[u])))
-            for u in cls
-        )
-        for j, u in enumerate(cls):
-            if not rotation[j]:
-                rot = m.rotation[u]
-                r = find(region_of[rot[0]] if rot else iso_region[u])
-                members.setdefault(r, ([], []))[1].append(j)
-        out_regions = [(frozenset(ds), frozenset(iso)) for ds, iso in members.values()]
-        out_regions += [(frozenset(ds), frozenset()) for ds in new_faces]
-        out_regions.sort(key=lambda r: min(r[0]) if r[0] else 2 * len(edges) + min(r[1]))
-        labels = tuple(cls) if m.labels is None else tuple(m.labels[v] for v in cls)
-        piece = PlaneMultigraph(len(cls), tuple(edges), rotation,
-                                regions=tuple(out_regions), labels=labels)
-        _check_euler(piece)
+        if not cls:
+            pieces.append(_EMPTY_MAP)
+            continue
+        piece = _carve(m, cls, outside[i], (), index,
+                       [(r1, r2) for cu, cv, r1, r2 in joins if cu != i and cv != i])
         face_sets = set(piece.face_vertex_sets())
-        for v, nbrs in hoods:
-            if frozenset(map(pos.__getitem__, nbrs)) not in face_sets:
-                raise MapError(
-                    f"class {i}: neighborhood {sorted(nbrs)} of vertex {v} "
-                    "is not a face boundary"
-                )
+        pos = {v: j for j, v in enumerate(cls)}
+        for v, darts in outside[i]:
+            if len(darts) >= 2:
+                nbrs = [tail[x ^ 1] for x in darts]
+                if frozenset(map(pos.__getitem__, nbrs)) not in face_sets:
+                    raise MapError(
+                        f"class {i}: neighborhood {sorted(nbrs)} of vertex {v} "
+                        "is not a face boundary"
+                    )
         pieces.append(piece)
     return pieces
 
@@ -946,10 +917,10 @@ class _EndBlocks:
 
     def __init__(self, b: _MapBuilder):
         self.b = b
-        rot = {v: b.rotation(v) for v in b.first}
-        self.edge_block, cuts = _blocks(rot, b.vert, sorted(rot))
+        rot = [b.rotation(v) for v in range(len(b.first))]
+        self.edge_block, cuts = _blocks(rot, b.vert, range(len(rot)))
         verts = [set() for _ in range(len(set(self.edge_block.values())))]
-        for d, v in b.vert.items():
+        for d, v in enumerate(b.vert):
             verts[self.edge_block[d >> 1]].add(v)
         self.parent = list(range(len(verts)))
         self.key = [tuple(sorted(vs)[:2]) for vs in verts]
@@ -1013,8 +984,8 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     original vertex set.
 
     Bridging order.  A region's pieces are its boundary orbits, keyed by
-    their smallest dart, then its isolated vertices v, keyed by
-    next_dart_id + v; a piece's anchor is its smallest vertex.  Each
+    their smallest dart, then its isolated vertices v, keyed by the next
+    free dart id plus v; a piece's anchor is its smallest vertex.  Each
     bridge goes into the region with the smallest key among those that
     still span two components, from the first piece's anchor u to the
     anchor w of the first piece in another component.  One pass in a

@@ -18,7 +18,6 @@ from strongodd.planemaps import (
     boundary_walk_vertices,
     chi_pfo_exact,
     decompose_claim1,
-    digon_expand,
     embed_cycle,
     embed_path,
     embed_star,
@@ -149,11 +148,19 @@ def test_annihilation_digon_case():
 
 
 def test_annihilation_preconditions():
-    with pytest.raises(MapError):
-        annihilate(embed_path(3), 0)  # degree 1
     digon_plus = PlaneMultigraph(3, ((0, 1), (0, 1), (1, 2)), ((0, 2), (3, 1, 4), (5,)))
-    with pytest.raises(MapError):
-        annihilate(digon_plus, 1)  # parallel pair at the vertex
+    cases = [
+        (embed_path(3), -1, "no vertex -1"),
+        (embed_path(3), 3, "no vertex 3"),
+        (embed_path(3), 0, "annihilation needs degree >= 2 at vertex 0"),
+        (PlaneMultigraph(2, (), ((), ())), 1, "annihilation needs degree >= 2 at vertex 1"),
+        (digon_plus, 1,
+         "vertex 1 is incident with a parallel pair; annihilation would create a loop"),
+    ]
+    for pm, v, message in cases:
+        with pytest.raises(MapError) as err:
+            annihilate(pm, v)
+        assert str(err.value) == message
 
 
 def test_annihilate_keeps_faces_not_at_vertex():
@@ -206,6 +213,17 @@ def test_claim1_degree_two_outside_vertex_leaves_digon():
     piece0 = pieces[0]
     assert piece0.n == 2 and piece0.m == 2
     assert len({tuple(sorted(e)) for e in piece0.edges}) == 1
+
+
+def test_claim1_unused_color_ids_give_empty_pieces():
+    pm = random_planar_map(40, random.Random(1))
+    phi = chi_exact(pm.underlying).witness
+    dense = decompose_claim1(pm, phi)
+    spread = decompose_claim1(pm, Coloring(tuple(50 * c for c in phi.colors)))
+    assert len(spread) == 50 * (phi.k - 1) + 1
+    empty = PlaneMultigraph(0, (), (), regions=(), labels=())
+    for i, piece in enumerate(spread):
+        assert piece == (empty if i % 50 else dense[i // 50])
 
 
 def test_claim1_rejects_improper():
@@ -313,6 +331,52 @@ def test_claim1_pieces_are_pinned():
         count += 1
     assert count > 60
     assert h.hexdigest()[:16] == "4e101bec2c1cb030"
+
+
+def _annihilation_pin_inputs():
+    """Maps that the map-layer pin lacks: Claim 1 pieces, many of them
+    with digons; those pieces and nested maps, with stored regions and
+    labels, each also reloaded from JSON (which keeps the regions and
+    drops the labels); and side-by-side maps with isolated vertices."""
+    rng = random.Random(37)
+    pieces = []
+    while len(pieces) < 16:
+        pm = random_planar_map(rng.randint(6, 30), rng,
+                               delete_fraction=rng.choice([0.0, 0.3, 0.45]))
+        phi = _random_proper(pm.underlying, rng.randint(3, 4), rng)
+        pieces += [p for p in decompose_claim1(pm, phi) if p.m >= 2]
+    for pm in pieces + [_nested_map(rng) for _ in range(8)]:
+        yield pm
+        yield map_from_json_dict(map_to_json_dict(pm))
+    for _ in range(8):
+        parts = [[[]]] * rng.randint(1, 3) + [
+            _neighbor_rotations(random_planar_map(rng.randint(3, 15), rng))
+            for _ in range(rng.randint(1, 3))
+        ]
+        rng.shuffle(parts)
+        yield from_neighbor_rotations(_side_by_side(*parts))
+
+
+def test_annihilations_are_pinned():
+    # every vertex of each input, and the message of every refusal;
+    # recorded before annihilation shared Claim 1's construction instead
+    # of editing a builder of the whole map, which must give the same
+    h = hashlib.sha256()
+    seen = Counter()
+    for pm in _annihilation_pin_inputs():
+        seen["with digons"] += pm.m != pm.underlying.m
+        seen["with isolated vertices"] += not all(pm.rotation)
+        seen["with labels"] += pm.labels is not None
+        for v in range(pm.n):
+            try:
+                out = _map_key(annihilate(pm, v))
+                seen["maps"] += 1
+            except MapError as exc:
+                out = str(exc)
+                seen[out.split()[0]] += 1  # "annihilation ..." or "vertex ..."
+            h.update(repr(out).encode())
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+    assert h.hexdigest()[:16] == "5b1c0bb06eba1314"
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +500,11 @@ def _pinned_maps():
 
 
 def test_plane_map_outputs_are_pinned():
-    # the map layer alone: faces, annihilations, digon expansions, Claim 1
-    # pieces and Claim 2 augmentations, so an engine change leaves it as
-    # it is.  Recorded before Claim 1 became one sweep over the outside
-    # vertices, which must return the same maps
+    # the map layer alone: faces, annihilations, Claim 1 pieces and
+    # Claim 2 augmentations, so an engine change leaves it as it is.
+    # Recorded before Claim 1 became one sweep over the outside vertices,
+    # which must return the same maps; re-recorded without the digon
+    # expansions when they were deleted
     h = hashlib.sha256()
 
     def pin(x):
@@ -450,7 +515,6 @@ def test_plane_map_outputs_are_pinned():
         for v in picks:
             if pm.degree(v) >= 2:
                 pin(_map_key(annihilate(pm, v)))
-        pin(_map_key(digon_expand(pm)))
         for piece in decompose_claim1(pm, phi):
             pin(_map_key(piece))
             if piece.n >= 3:
@@ -462,7 +526,7 @@ def test_plane_map_outputs_are_pinned():
         pin(_map_key(augment_claim2(pm)))
     for n in (*range(3, 12), 40, 100):
         pin(_map_key(augment_claim2(embed_path(n))))
-    assert h.hexdigest()[:16] == "6e1c3a2b0fbd8a5d"
+    assert h.hexdigest()[:16] == "2887b37345923459"
 
 
 def test_pipeline_colorings_are_pinned():
@@ -567,19 +631,6 @@ def test_chi_pfo_budget_exhaustion_keeps_a_facially_odd_witness():
 def test_chi_pfo_requires_two_connected():
     with pytest.raises(MapError):
         chi_pfo_exact(embed_path(4))
-
-
-def test_digon_expansion_reduction():
-    # facially odd on the digon expansion forces properness on the original
-    tri = from_neighbor_rotations([[2, 1], [0, 2], [1, 0]])
-    expanded = digon_expand(tri)
-    assert expanded.m == 2 * tri.m
-    fd = trace_faces(expanded)
-    assert sum(1 for s in fd.boundary_vertices if len(s) == 2) == 3
-    for colors in itertools.product(range(3), repeat=3):
-        phi = Coloring(colors)
-        if not is_facially_odd(expanded, phi):
-            assert is_proper_facially_odd(tri, phi) == []
 
 
 # ---------------------------------------------------------------------------
