@@ -48,6 +48,32 @@ OUTERPLANAR_CHI_SO_UPPER = OUTERPLANAR_PFO_UPPER * 3
 Region = tuple[frozenset[int], frozenset[int]]  # (darts, isolated vertices)
 
 
+def _trace_orbits(succ: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the face successor succ (indexed by dart), each
+    found from its smallest dart, so starting there, in that order."""
+    seen = [False] * len(succ)
+    faces = []
+    for d0 in range(len(succ)):
+        if seen[d0]:
+            continue
+        cyc = [d0]
+        seen[d0] = True
+        d = succ[d0]
+        while d != d0:
+            cyc.append(d)
+            seen[d] = True
+            d = succ[d]
+        faces.append(tuple(cyc))
+    return tuple(faces)
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 @dataclass(frozen=True)
 class PlaneMultigraph:
     """Plane multigraph given by a rotation system.
@@ -126,22 +152,7 @@ class PlaneMultigraph:
     @cached_property
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
         """The face orbits, traced once per map."""
-        succ = self._succ
-        seen = [False] * len(succ)
-        faces = []
-        # each orbit is found from its smallest dart, so it starts there
-        for d0 in range(len(succ)):
-            if seen[d0]:
-                continue
-            cyc = [d0]
-            seen[d0] = True
-            d = succ[d0]
-            while d != d0:
-                cyc.append(d)
-                seen[d] = True
-                d = succ[d]
-            faces.append(tuple(cyc))
-        return tuple(faces)
+        return _trace_orbits(self._succ)
 
     @cached_property
     def _component_of(self) -> list[int]:
@@ -366,6 +377,21 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         if any(region_of[d] != region_of[pm._succ[d]] for d in pm.darts):
             raise MapError("every region must be a union of face orbits")
     _check_euler(pm)
+    if regions:  # none when n = 0, as plane claim1 writes an empty piece
+        # the faces of a plane map and its components, each linked to the
+        # faces it bounds, form a tree; a component bounds a face by one
+        # orbit, or by itself when it is an isolated vertex
+        comp_of, ncomp = pm._component_of, max(pm._component_of) + 1
+        links = [(comp_of[pm._tail[cyc[0]]], region_of[cyc[0]]) for cyc in pm._orbits]
+        links += [(comp_of[v], i) for i, (_, iso) in enumerate(regions) for v in iso]
+        parent = list(range(ncomp + len(regions)))
+        if len(links) != len(parent) - 1:
+            raise MapError("regions do not describe a plane embedding")
+        for c, r in links:
+            c, r = _find(parent, c), _find(parent, ncomp + r)
+            if c == r:
+                raise MapError("regions do not describe a plane embedding")
+            parent[c] = r
     return pm
 
 
@@ -386,10 +412,10 @@ def load_map(path) -> PlaneMultigraph:
 # ---------------------------------------------------------------------------
 
 class _MapBuilder:
-    """Rotation system of a map that Claim 2 adds edges to, with
-    geometric-region bookkeeping.  It only adds: no dart or vertex is
-    ever removed, so every id of the source map is kept, and new darts
-    follow the old ones in the order they are allocated.
+    """Rotation system of a map that Claim 2 adds edges to.  It only
+    adds: no dart or vertex is ever removed, so every id of the source
+    map is kept, and new darts follow the old ones in the order they are
+    allocated.
 
     Each rotation is a cycle linked through nxt and prv, lists indexed
     by dart (the darts after and before a dart at its vertex), so a
@@ -398,12 +424,7 @@ class _MapBuilder:
     a Python list of the rotation, edited by the same insertions, would
     start.  vert[d] is the vertex dart d leaves, so len(vert) is the next
     dart id.  Darts keep the map's convention: new ones are allocated in
-    pairs, so d's twin is d ^ 1.  Regions track which orbits (and
-    isolated vertices) bound the same geometric face, which is what a
-    disconnected map needs to keep its faces.  A region's members are
-    its darts, plus ~v for each isolated vertex v in it, so the two kinds
-    split by sign; region_of maps every member to its region, and
-    region_members maps every region to its member set.
+    pairs, so d's twin is d ^ 1.
     """
 
     def __init__(self, m: PlaneMultigraph):
@@ -417,15 +438,6 @@ class _MapBuilder:
         for d, after in enumerate(nxt):
             prv[after] = d
         self.vert = m._tail[:]
-        self.region_of = {}
-        self.region_members = {}
-        self.next_region = 0
-        for darts, iso in m.effective_regions():
-            rid = self._new_region()
-            members = self.region_members[rid]
-            members.update(darts)
-            members.update(~v for v in iso)
-            self.region_of.update(dict.fromkeys(members, rid))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -461,23 +473,6 @@ class _MapBuilder:
         self.prv += (a, b)
         return a, b
 
-    def _new_region(self) -> int:
-        rid = self.next_region
-        self.next_region += 1
-        self.region_members[rid] = set()
-        return rid
-
-    def _set_region(self, x: int, rid: Optional[int]) -> None:
-        """Move member x (a dart, or ~v for an isolated vertex v)
-        into region rid, or out of every region when rid is None.  Every
-        change of region_of and region_members goes through here."""
-        old = self.region_of.pop(x, None)
-        if old is not None:
-            self.region_members[old].discard(x)
-        if rid is not None:
-            self.region_of[x] = rid
-            self.region_members[rid].add(x)
-
     # -- mutations -----------------------------------------------------------
 
     def _link(self, before: int, new: int, after: int) -> None:
@@ -493,42 +488,18 @@ class _MapBuilder:
     def _insert_after(self, v: int, anchor: int, new: int) -> None:
         self._link(anchor, new, self.nxt[anchor])
 
-    def _region_pieces(self, rid: int) -> list[tuple[int, int, Optional[int]]]:
-        """Boundary pieces of a region: (sort key, anchor vertex, the
-        anchor's smallest dart in the piece, None for an isolated
-        vertex)."""
-        members = self.region_members[rid]
-        vert = self.vert
-        pieces = []
-        seen = set()
-        for d in sorted(x for x in members if x >= 0):
-            if d in seen:
-                continue
-            cyc = self.orbit(d)
-            seen.update(cyc)
-            v = min(vert[x] for x in cyc)
-            pieces.append((min(cyc), v, min(x for x in cyc if vert[x] == v)))
-        top = len(vert)
-        for v in sorted(~x for x in members if x < 0):
-            pieces.append((top + v, v, None))
-        return pieces
-
-    def add_edge_in_region(self, rid: int, u: int, du: Optional[int],
-                           w: int, dw: Optional[int]) -> tuple[int, int]:
-        """Bridge two boundary pieces of one region (used to connect
-        components; the region keeps its identity).  The new edge enters
-        the rotation at u before du and at w before dw, each the vertex's
-        smallest dart in the region, or None for an isolated vertex.
-        Returns the new darts at u and at w."""
+    def add_bridge(self, u: int, du: Optional[int],
+                   w: int, dw: Optional[int]) -> tuple[int, int]:
+        """Bridge two boundary pieces of one face (used to connect
+        components).  The new edge enters the rotation at u before du and
+        at w before dw, each the vertex's smallest dart in the face, or
+        None for an isolated vertex.  Returns the new darts at u and at w."""
         nu, nw = self._new_darts(u, w)
         for v, anchor, nd in ((u, du, nu), (w, dw, nw)):
             if anchor is None:
                 self.first[v] = self.nxt[nd] = self.prv[nd] = nd
-                self._set_region(~v, None)
             else:
                 self._insert_before(v, anchor, nd)
-        self._set_region(nu, rid)
-        self._set_region(nw, rid)
         return nu, nw
 
     def add_corner_edge(self, x: int, y: int) -> int:
@@ -540,33 +511,23 @@ class _MapBuilder:
             raise MapError("darts do not form a corner")
         u = self.vert[x]
         w = self.vert[y ^ 1]
-        rid = self.region_of[x]
         n1, n2 = self._new_darts(u, w)
         self._insert_before(u, x, n1)
         self._insert_after(w, y ^ 1, n2)
-        new_region = self._new_region()
-        for d in (x, y, n2):
-            self._set_region(d, new_region)
-        self._set_region(n1, rid)
         return n1
 
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> PlaneMultigraph:
-        """The current map, its regions and labels, after a check of the
-        Euler identity; every id is the builder's own."""
-        vert, n = self.vert, len(self.first)
+        """The current map and its labels, after a check of the Euler
+        identity; every id is the builder's own.  The map must be
+        connected with no isolated vertex, so its regions are its face
+        orbits, in order of their smallest darts."""
+        vert, n, nxt = self.vert, len(self.first), self.nxt
         edges = tuple(zip(vert[0::2], vert[1::2]))
         rotation = tuple(tuple(self.rotation(v)) for v in range(n))
-        regions = tuple(sorted(
-            (
-                (frozenset(x for x in members if x >= 0),
-                 frozenset(~x for x in members if x < 0))
-                for members in self.region_members.values()
-                if members
-            ),
-            key=lambda r: (min(r[0]) if r[0] else 2 * len(edges) + min(r[1], default=0)),
-        ))
+        regions = tuple((frozenset(cyc), frozenset())
+                        for cyc in _trace_orbits([nxt[d ^ 1] for d in range(len(nxt))]))
         labels = self.source.labels or tuple(range(n))
         out = PlaneMultigraph(n, edges, rotation, regions=regions, labels=labels)
         _check_euler(out)
@@ -631,14 +592,8 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
     """
     region_of, iso_region, count = index
     parent = list(range(count))
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        return r
-
     for r1, r2 in joins:
-        parent[find(r1)] = find(r2)
+        parent[_find(parent, r1)] = _find(parent, r2)
     tail = m._tail
     pos = {v: j for j, v in enumerate(keep)}
     edges = [(pos[tail[2 * e]], pos[tail[2 * e + 1]]) for e in survivors]
@@ -646,7 +601,7 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
     replaced = {d: (x,) for x, d in enumerate(surviving)}  # dart at keep -> darts in its place
     members = {}  # region root -> (darts, isolated vertices) of the result
     for x, d in enumerate(surviving):
-        members.setdefault(find(region_of[d]), ([], []))[0].append(x)
+        members.setdefault(_find(parent, region_of[d]), ([], []))[0].append(x)
     new_faces = []
     for v, darts in outside:
         d = len(darts)
@@ -659,7 +614,7 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
         for j, x in enumerate(darts):
             a = base + 2 * j
             replaced[x ^ 1] = (a, base + 2 * ((j - 1) % d) + 1)
-            members.setdefault(find(region_of[x ^ 1]), ([], []))[0].append(a)
+            members.setdefault(_find(parent, region_of[x ^ 1]), ([], []))[0].append(a)
         new_faces.append(range(base + 1, base + 2 * d, 2))
     rotation = tuple(
         tuple(chain.from_iterable(map(replaced.__getitem__, m.rotation[u])))
@@ -669,7 +624,7 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
         if not rotation[j]:
             rot = m.rotation[u]
             r = region_of[rot[0]] if rot else iso_region[u]
-            members.setdefault(find(r), ([], []))[1].append(j)
+            members.setdefault(_find(parent, r), ([], []))[1].append(j)
     regions = [(frozenset(ds), frozenset(iso)) for ds, iso in members.values()]
     regions += [(frozenset(ds), frozenset()) for ds in new_faces]
     regions.sort(key=lambda r: min(r[0]) if r[0] else 2 * len(edges) + min(r[1]))
@@ -935,10 +890,7 @@ class _EndBlocks:
         heapify(self.heap)
 
     def block_of(self, d: int) -> int:
-        i = self.edge_block[d >> 1]
-        while self.parent[i] != i:
-            self.parent[i] = i = self.parent[self.parent[i]]
-        return i
+        return _find(self.parent, self.edge_block[d >> 1])
 
     def next_end(self) -> Optional[tuple[int, int, set[int]]]:
         """The end block with the smallest sorted vertex tuple, its cut
@@ -974,6 +926,21 @@ class _EndBlocks:
             heappush(self.heap, (self.key[i], i))
 
 
+def _region_pieces(m: PlaneMultigraph) -> list[list[tuple[int, int, Optional[int]]]]:
+    """The boundary pieces of each region of m, as (sort key, anchor
+    vertex, the anchor's smallest dart in the piece, None for an
+    isolated vertex), in the bridging order of augment_claim2."""
+    region_of, iso_region, count = _region_index(m)
+    tail = m._tail
+    pieces = [[] for _ in range(count)]
+    for cyc in m._orbits:  # each starts at its smallest dart
+        v = min(map(tail.__getitem__, cyc))
+        pieces[region_of[cyc[0]]].append((cyc[0], v, min(d for d in cyc if tail[d] == v)))
+    for v in sorted(iso_region):
+        pieces[iso_region[v]].append((2 * m.m + v, v, None))
+    return sorted(pieces)
+
+
 def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     """Add edges until the map is 2-connected, preserving every face's
     vertex set.
@@ -998,7 +965,9 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     regions are visited once, in the order of their smallest keys, and
     each is bridged along its pieces until it lies in one component.  The
     argument needs each region to meet a component in at most one piece,
-    as a face of a plane map does.
+    as a face of a plane map does.  So m's regions are read once, and the
+    map returned, connected with no isolated vertex, has one region per
+    face orbit.
 
     The contract is checked once, on the map returned: every face vertex
     set of m, counted with multiplicity, must be one of the result's, or
@@ -1011,24 +980,14 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     # applies to it; parent is a union-find over the component ids
     comp_of = m._component_of
     parent = list(range(max(comp_of) + 1))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
     merges_left = len(parent) - 1
-    regions = []
-    if merges_left:  # a connected map needs no bridge: skip the orbit walks
-        regions = sorted((b._region_pieces(r), r) for r in b.region_members)
-    for pieces, rid in regions:
-        if len(pieces) < 2:
-            continue
+    # a connected map needs no bridge: skip the orbit walks
+    for pieces in _region_pieces(m) if merges_left else ():
         _, u, du = pieces[0]
         for _, w, dw in pieces[1:]:
-            cu, cw = find(comp_of[u]), find(comp_of[w])
+            cu, cw = _find(parent, comp_of[u]), _find(parent, comp_of[w])
             if cu != cw:
-                nu, nw = b.add_edge_in_region(rid, u, du, w, dw)
+                nu, nw = b.add_bridge(u, du, w, dw)
                 parent[cw] = cu
                 merges_left -= 1
                 # the anchor of the merged piece, and its smallest dart

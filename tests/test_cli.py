@@ -236,6 +236,12 @@ def _empty_region(data):
     return data
 
 
+def _one_region_holds_both_orbits(data):
+    # a union of orbits, but no plane embedding of a C4 has one face
+    data["regions"] = [{"darts": list(range(8)), "isolated": []}]
+    return data
+
+
 @pytest.mark.parametrize("corrupt", [
     _edges_without_id, _dart_out_of_range, _n_as_string, _n_as_float,
     _rotation_as_list, _rotation_entry_as_int, _dart_as_string,
@@ -243,6 +249,7 @@ def _empty_region(data):
     _edge_id_as_bool, _regions_as_object, _region_without_isolated,
     _region_darts_as_int, _region_dart_as_string, _region_dart_as_bool,
     _regions_missing_a_dart, _region_splits_an_orbit, _empty_region,
+    _one_region_holds_both_orbits,
 ])
 def test_malformed_map_exits_2(tmp_path, capsys, corrupt):
     mpath = tmp_path / "bad.json"

@@ -114,6 +114,22 @@ def test_map_json_round_trip():
         map_from_json_dict(bad)
 
 
+def test_map_json_regions_must_describe_a_plane_embedding():
+    # two triangles: four faces, one per orbit, are one face too many;
+    # one face bounded by both orbits of the first triangle has it bound
+    # a face twice, though the count of faces is right
+    two = from_neighbor_rotations([[2, 1], [0, 2], [1, 0], [5, 4], [3, 5], [4, 3]])
+    a, b, c, d = map(sorted, trace_faces(two).faces)
+    data = map_to_json_dict(two)
+    for regions in ([a, b, c, d], [a + b, c, d]):
+        data["regions"] = [{"darts": ds, "isolated": []} for ds in regions]
+        with pytest.raises(MapError) as err:
+            map_from_json_dict(data)
+        assert str(err.value) == "regions do not describe a plane embedding"
+    data["regions"] = [{"darts": ds, "isolated": []} for ds in (a + c, b, d)]
+    assert len(map_from_json_dict(data).face_vertex_sets()) == 3
+
+
 def test_map_json_keeps_the_regions_of_claim1_pieces():
     # a piece's regions need not be the side-by-side default, so a file
     # without them reloads some pieces with other faces
@@ -438,19 +454,21 @@ def test_claim2_needs_a_region_shared_by_two_components():
 
 
 def test_claim2_end_check_covers_the_whole_output(monkeypatch):
-    # the largest region hands its darts at one vertex to another region
-    # just before the snapshot, so no edge addition is to blame
+    # the largest region of the snapshot hands its darts at one vertex to
+    # another region, so no edge addition is to blame
     snapshot = _MapBuilder.snapshot
 
     def corrupted(b):
-        sizes = Counter(b.region_of.values())
-        largest = max(sizes, key=lambda r: (sizes[r], -r))
-        other = min(r for r in sizes if r != largest)
-        v = b.vert[min(d for d, r in b.region_of.items() if r == largest)]
-        for d, r in list(b.region_of.items()):
-            if r == largest and b.vert[d] == v:
-                b._set_region(d, other)
-        return snapshot(b)
+        out = snapshot(b)
+        regions = [set(ds) for ds, _ in out.regions]
+        largest = max(range(len(regions)), key=lambda r: (len(regions[r]), -r))
+        other = min(r for r in range(len(regions)) if r != largest)
+        v = out.vertex_of(min(regions[largest]))
+        moved = {d for d in regions[largest] if out.vertex_of(d) == v}
+        regions[largest] -= moved
+        regions[other] |= moved
+        return PlaneMultigraph(out.n, out.edges, out.rotation, labels=out.labels,
+                               regions=tuple((frozenset(ds), frozenset()) for ds in regions))
 
     monkeypatch.setattr(_MapBuilder, "snapshot", corrupted)
     with pytest.raises(AssertionError, match="lost face boundary"):
@@ -472,6 +490,20 @@ def test_claim2_bridging_is_pinned():
         h.update(repr(_map_key(augment_claim2(from_neighbor_rotations(nbrs)))).encode())
         count += 1
     assert h.hexdigest()[:16] == "1511464ee10e8bc0"
+
+
+def test_claim2_on_nested_maps_is_pinned():
+    # maps whose stored regions are not the side-by-side default, each
+    # also reloaded from JSON as plane claim2 reads it (which keeps the
+    # regions and drops the labels); recorded while the builder still
+    # tracked every dart's region, which must give the same maps
+    h = hashlib.sha256()
+    rng = random.Random(41)
+    for _ in range(8):
+        pm = _nested_map(rng)
+        for inp in (pm, map_from_json_dict(map_to_json_dict(pm))):
+            h.update(repr(_map_key(augment_claim2(inp))).encode())
+    assert h.hexdigest()[:16] == "c85f7fd719b98459"
 
 
 def _first_fit(g):
