@@ -12,6 +12,9 @@ disconnected, a map optionally carries *regions*: a partition of the
 orbits (plus any isolated vertices) into geometric faces, so that a face
 whose boundary falls apart into several walks is still one face.  For a
 connected map every region is a single orbit and the two views agree.
+The PlaneMultigraph constructor checks that a map is plane, however it
+is made; the maps that annihilation and Claims 1 and 2 build are plane
+by construction and skip it (_trusted_map).
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ class PlaneMultigraph:
     optionally names each vertex in some outer id space (used when a map
     was carved out of a larger one).  regions, when present, groups face
     orbits into geometric faces.
+    The constructor raises MapError unless the map is a plane embedding.
     """
 
     n: int
@@ -126,6 +130,37 @@ class PlaneMultigraph:
                 raise MapError("regions mistrack isolated vertices")
             if not all(r[0] or r[1] for r in self.regions):
                 raise MapError("a region holds neither a dart nor an isolated vertex")
+        # the plane checks: regions are unions of orbits, n - m + f = 2 on
+        # each component, and components and regions are linked as a tree
+        orbits, comp_of, regions = self._orbits, self._component_of, self.regions
+        if regions is not None:
+            region_of = {d: i for i, (darts, _) in enumerate(regions) for d in darts}
+            succ = self._succ
+            if any(region_of[d] != region_of[succ[d]] for d in range(len(tail))):
+                raise MapError("every region must be a union of face orbits")
+        ncomp = max(comp_of, default=-1) + 1
+        nc, mc = Counter(comp_of), Counter(comp_of[u] for u, _ in self.edges)
+        fc = Counter(comp_of[tail[cyc[0]]] for cyc in orbits)
+        for ci in range(ncomp):
+            # an isolated vertex has no orbit and is exempt
+            if mc[ci] and nc[ci] - mc[ci] + fc[ci] != 2:
+                raise MapError(
+                    f"component {ci}: Euler identity fails "
+                    f"({nc[ci]} - {mc[ci]} + {fc[ci]} != 2); not a plane embedding"
+                )
+        if regions:  # none when n = 0, as plane claim1 writes an empty piece
+            # a component bounds a face by one orbit, or by itself when
+            # it is an isolated vertex
+            links = [(comp_of[tail[cyc[0]]], region_of[cyc[0]]) for cyc in orbits]
+            links += [(comp_of[v], i) for i, (_, iso) in enumerate(regions) for v in iso]
+            parent = list(range(ncomp + len(regions)))
+            if len(links) != len(parent) - 1:
+                raise MapError("regions do not describe a plane embedding")
+            for c, r in links:
+                c, r = _find(parent, c), _find(parent, ncomp + r)
+                if c == r:
+                    raise MapError("regions do not describe a plane embedding")
+                parent[c] = r
 
     @property
     def m(self) -> int:
@@ -235,6 +270,15 @@ class PlaneMultigraph:
         return frozenset(self.labels[v] for v in vertices)
 
 
+def _trusted_map(n, edges, rotation, regions, labels) -> PlaneMultigraph:
+    """A PlaneMultigraph built without its constructor's checks, as
+    Graph.from_edges builds a Graph: only for the maps of _carve and
+    _MapBuilder.snapshot, plane by the arguments in their docstrings."""
+    pm = object.__new__(PlaneMultigraph)
+    pm.__dict__.update(n=n, edges=edges, rotation=rotation, regions=regions, labels=labels)
+    return pm
+
+
 @dataclass(frozen=True)
 class FaceData:
     """Face orbits of a map: dart cycles and their vertex sets."""
@@ -245,32 +289,11 @@ class FaceData:
 
 def trace_faces(m: PlaneMultigraph) -> FaceData:
     """Orbits of the face successor, each starting at its smallest dart
-    and listed in that order, after a check of the Euler identity on
-    every connected component."""
-    _check_euler(m)
+    and listed in that order, with their vertex sets.  The map was
+    checked to be plane when it was made."""
     faces, tail = m._orbits, m._tail
     boundary = tuple(frozenset(map(tail.__getitem__, cyc)) for cyc in faces)
     return FaceData(faces, boundary)
-
-
-def _check_euler(m: PlaneMultigraph) -> None:
-    """Raise unless n - m + f = 2 on every component with an edge."""
-    comp_of = m._component_of
-    ncomp = max(comp_of, default=-1) + 1
-    nc, mc, fc = [0] * ncomp, [0] * ncomp, [0] * ncomp
-    for v in range(m.n):
-        nc[comp_of[v]] += 1
-    for u, _ in m.edges:
-        mc[comp_of[u]] += 1
-    for cyc in m._orbits:
-        fc[comp_of[m.vertex_of(cyc[0])]] += 1
-    for ci in range(ncomp):
-        # an isolated vertex has no orbit and is exempt
-        if mc[ci] and nc[ci] - mc[ci] + fc[ci] != 2:
-            raise MapError(
-                f"component {ci}: Euler identity fails "
-                f"({nc[ci]} - {mc[ci]} + {fc[ci]} != 2); not a plane embedding"
-            )
 
 
 def boundary_walk_vertices(m: PlaneMultigraph, cyc: Sequence[int]) -> list[int]:
@@ -371,28 +394,7 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
         raise MapError("edge ends, dart ids and region entries must be integers")
     if regions is not None:
         regions = tuple((frozenset(darts), frozenset(iso)) for darts, iso in regions)
-    pm = PlaneMultigraph(n, tuple(edges), tuple(map(tuple, rotation)), regions=regions)
-    if regions is not None:
-        region_of = {d: i for i, (darts, _) in enumerate(regions) for d in darts}
-        if any(region_of[d] != region_of[pm._succ[d]] for d in pm.darts):
-            raise MapError("every region must be a union of face orbits")
-    _check_euler(pm)
-    if regions:  # none when n = 0, as plane claim1 writes an empty piece
-        # the faces of a plane map and its components, each linked to the
-        # faces it bounds, form a tree; a component bounds a face by one
-        # orbit, or by itself when it is an isolated vertex
-        comp_of, ncomp = pm._component_of, max(pm._component_of) + 1
-        links = [(comp_of[pm._tail[cyc[0]]], region_of[cyc[0]]) for cyc in pm._orbits]
-        links += [(comp_of[v], i) for i, (_, iso) in enumerate(regions) for v in iso]
-        parent = list(range(ncomp + len(regions)))
-        if len(links) != len(parent) - 1:
-            raise MapError("regions do not describe a plane embedding")
-        for c, r in links:
-            c, r = _find(parent, c), _find(parent, ncomp + r)
-            if c == r:
-                raise MapError("regions do not describe a plane embedding")
-            parent[c] = r
-    return pm
+    return PlaneMultigraph(n, tuple(edges), tuple(map(tuple, rotation)), regions=regions)
 
 
 def save_map(m: PlaneMultigraph, path) -> None:
@@ -519,19 +521,18 @@ class _MapBuilder:
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> PlaneMultigraph:
-        """The current map and its labels, after a check of the Euler
-        identity; every id is the builder's own.  The map must be
-        connected with no isolated vertex, so its regions are its face
-        orbits, in order of their smallest darts."""
+        """The current map and its labels; every id is the builder's own.
+        The map must be connected with no isolated vertex, so its regions
+        are its face orbits, in order of their smallest darts.  It is
+        built unchecked by _trusted_map: the source map is plane, and so
+        are bridges inside faces and edges across corners."""
         vert, n, nxt = self.vert, len(self.first), self.nxt
         edges = tuple(zip(vert[0::2], vert[1::2]))
         rotation = tuple(tuple(self.rotation(v)) for v in range(n))
         regions = tuple((frozenset(cyc), frozenset())
                         for cyc in _trace_orbits([nxt[d ^ 1] for d in range(len(nxt))]))
         labels = self.source.labels or tuple(range(n))
-        out = PlaneMultigraph(n, edges, rotation, regions=regions, labels=labels)
-        _check_euler(out)
-        return out
+        return _trusted_map(n, edges, rotation, regions, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +589,8 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
     edited by in-place replacements is listed from its first dart's
     replacement; and the regions are sorted by their smallest dart,
     then by their smallest isolated vertex.  Labels point back into m,
-    or through m's own labels.
+    or through m's own labels.  So it is plane, as m is, and is built
+    unchecked by _trusted_map.
     """
     region_of, iso_region, count = index
     parent = list(range(count))
@@ -629,10 +631,7 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
     regions += [(frozenset(ds), frozenset()) for ds in new_faces]
     regions.sort(key=lambda r: min(r[0]) if r[0] else 2 * len(edges) + min(r[1]))
     labels = tuple(keep) if m.labels is None else tuple(m.labels[v] for v in keep)
-    out = PlaneMultigraph(len(keep), tuple(edges), rotation,
-                          regions=tuple(regions), labels=labels)
-    _check_euler(out)
-    return out
+    return _trusted_map(len(keep), tuple(edges), rotation, tuple(regions), labels)
 
 
 def annihilate(m: PlaneMultigraph, v: int) -> PlaneMultigraph:
@@ -980,24 +979,21 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     # applies to it; parent is a union-find over the component ids
     comp_of = m._component_of
     parent = list(range(max(comp_of) + 1))
-    merges_left = len(parent) - 1
-    # a connected map needs no bridge: skip the orbit walks
-    for pieces in _region_pieces(m) if merges_left else ():
+    # a connected map needs no bridge: skip the orbit walks; a plane
+    # map's regions link its components as a tree, so bridges join all
+    for pieces in _region_pieces(m) if len(parent) > 1 else ():
         _, u, du = pieces[0]
         for _, w, dw in pieces[1:]:
             cu, cw = _find(parent, comp_of[u]), _find(parent, comp_of[w])
             if cu != cw:
                 nu, nw = b.add_bridge(u, du, w, dw)
                 parent[cw] = cu
-                merges_left -= 1
                 # the anchor of the merged piece, and its smallest dart
                 # there: new darts are larger than all old ones
                 if w < u:
                     u, du = w, nw if dw is None else dw
                 elif du is None:
                     du = nu
-    if merges_left:
-        raise MapError("disconnected map has no shared region to bridge")
 
     blocks = _EndBlocks(b)
     while (end := blocks.next_end()) is not None:

@@ -59,6 +59,11 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 def random_triangulation(n: int, rng: random.Random) -> PlaneMultigraph:
     """Stacked triangulation: grow from a triangle by planting each new
     vertex inside a random triangular face, joined to its three corners."""
+    return from_neighbor_rotations(_triangulation_rotations(n, rng))
+
+
+def _triangulation_rotations(n: int, rng: random.Random) -> list[list[int]]:
+    """The clockwise neighbor lists of random_triangulation(n, rng)."""
     if n < 3:
         raise ValueError("triangulation needs at least three vertices")
     # clockwise neighbor lists and the current face triples (walk order)
@@ -74,7 +79,7 @@ def random_triangulation(n: int, rng: random.Random) -> PlaneMultigraph:
         rot[a].insert(rot[a].index(c) + 1, w)
         rot.append([a, c, b])
         faces.extend([(a, b, w), (b, c, w), (c, a, w)])
-    return from_neighbor_rotations(rot)
+    return rot
 
 
 def random_planar_map(
@@ -82,10 +87,9 @@ def random_planar_map(
 ) -> PlaneMultigraph:
     """Connected embedded planar graph: a stacked triangulation with a
     random subset of non-bridge edges removed."""
-    pm = random_triangulation(n, rng)
-    rot = [list(pm.rotation[v]) for v in range(pm.n)]
-    nbrs = [[pm.head_of(d) for d in rot[v]] for v in range(pm.n)]
-    edges = list(pm.edges)
+    nbrs = _triangulation_rotations(n, rng)
+    # the triangulation's edges in the order its map lists them
+    edges = sorted((u, v) for u in range(n) for v in nbrs[u] if u < v)
     rng.shuffle(edges)
     target = int(delete_fraction * len(edges))
     removed = 0

@@ -12,6 +12,7 @@ from strongodd.planemaps import (
     MapError,
     PlaneMultigraph,
     _MapBuilder,
+    _trusted_map,
     annihilate,
     annihilation_report,
     augment_claim2,
@@ -101,6 +102,23 @@ def test_euler_check_per_component():
     planar = from_neighbor_rotations(_side_by_side(triangle, [[]], WHEEL4))
     fd = trace_faces(planar)
     assert len(fd.faces) == 2 + 5 and planar.n == 3 + 1 + 5
+
+
+def test_plane_multigraph_refuses_non_plane_maps():
+    # built directly, not loaded from JSON: every map gets the plane checks
+    with pytest.raises(MapError) as err:
+        from_neighbor_rotations([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    assert str(err.value) == (
+        "component 0: Euler identity fails (4 - 6 + 2 != 2); not a plane embedding")
+    c4 = embed_cycle(4)
+    for regions, message in (
+        ([range(8)], "regions do not describe a plane embedding"),
+        ([range(2), range(2, 8)], "every region must be a union of face orbits"),
+    ):
+        with pytest.raises(MapError) as err:
+            PlaneMultigraph(c4.n, c4.edges, c4.rotation,
+                            regions=tuple((frozenset(ds), frozenset()) for ds in regions))
+        assert str(err.value) == message
 
 
 def test_map_json_round_trip():
@@ -343,7 +361,7 @@ def test_claim1_pieces_are_pinned():
     count = 0
     for pm, phi in _claim1_pin_inputs():
         for piece in decompose_claim1(pm, phi):
-            h.update(repr(_map_key(piece)).encode())
+            h.update(repr(_map_key(_rebuilt(piece))).encode())
         count += 1
     assert count > 60
     assert h.hexdigest()[:16] == "4e101bec2c1cb030"
@@ -385,7 +403,7 @@ def test_annihilations_are_pinned():
         seen["with labels"] += pm.labels is not None
         for v in range(pm.n):
             try:
-                out = _map_key(annihilate(pm, v))
+                out = _map_key(_rebuilt(annihilate(pm, v)))
                 seen["maps"] += 1
             except MapError as exc:
                 out = str(exc)
@@ -446,16 +464,20 @@ def test_claim2_connects_isolated_vertices():
 
 
 def test_claim2_needs_a_region_shared_by_two_components():
+    # two triangles with no face in common have no plane embedding, so
+    # the map is refused before Claim 2 could look for a region to bridge
     two = from_neighbor_rotations(_side_by_side(*[[[2, 1], [0, 2], [1, 0]]] * 2))
     regions = tuple((frozenset(cyc), frozenset()) for cyc in trace_faces(two).faces)
-    apart = PlaneMultigraph(two.n, two.edges, two.rotation, regions=regions)
-    with pytest.raises(MapError, match="disconnected map has no shared region to bridge"):
-        augment_claim2(apart)
+    with pytest.raises(MapError) as err:
+        PlaneMultigraph(two.n, two.edges, two.rotation, regions=regions)
+    assert str(err.value) == "regions do not describe a plane embedding"
 
 
 def test_claim2_end_check_covers_the_whole_output(monkeypatch):
     # the largest region of the snapshot hands its darts at one vertex to
-    # another region, so no edge addition is to blame
+    # another region, so no edge addition is to blame; the map is built
+    # unchecked, as snapshot builds its own, since the constructor would
+    # refuse it
     snapshot = _MapBuilder.snapshot
 
     def corrupted(b):
@@ -467,8 +489,8 @@ def test_claim2_end_check_covers_the_whole_output(monkeypatch):
         moved = {d for d in regions[largest] if out.vertex_of(d) == v}
         regions[largest] -= moved
         regions[other] |= moved
-        return PlaneMultigraph(out.n, out.edges, out.rotation, labels=out.labels,
-                               regions=tuple((frozenset(ds), frozenset()) for ds in regions))
+        return _trusted_map(out.n, out.edges, out.rotation,
+                            tuple((frozenset(ds), frozenset()) for ds in regions), out.labels)
 
     monkeypatch.setattr(_MapBuilder, "snapshot", corrupted)
     with pytest.raises(AssertionError, match="lost face boundary"):
@@ -487,7 +509,7 @@ def test_claim2_bridging_is_pinned():
         nbrs = _side_by_side(*(rng.choice(parts) for _ in range(rng.randint(1, 6))))
         if len(nbrs) < 3:
             continue
-        h.update(repr(_map_key(augment_claim2(from_neighbor_rotations(nbrs)))).encode())
+        h.update(repr(_map_key(_rebuilt(augment_claim2(from_neighbor_rotations(nbrs))))).encode())
         count += 1
     assert h.hexdigest()[:16] == "1511464ee10e8bc0"
 
@@ -502,7 +524,7 @@ def test_claim2_on_nested_maps_is_pinned():
     for _ in range(8):
         pm = _nested_map(rng)
         for inp in (pm, map_from_json_dict(map_to_json_dict(pm))):
-            h.update(repr(_map_key(augment_claim2(inp))).encode())
+            h.update(repr(_map_key(_rebuilt(augment_claim2(inp)))).encode())
     assert h.hexdigest()[:16] == "c85f7fd719b98459"
 
 
@@ -512,6 +534,14 @@ def _first_fit(g):
         used = {col[u] for u in g.adj[v]}
         col[v] = min(c for c in range(g.n + 1) if c not in used)
     return Coloring(tuple(col))
+
+
+def _rebuilt(pm):
+    """pm, after a check that the constructor accepts it and builds the
+    same map: the library builds its outputs without the plane checks."""
+    again = PlaneMultigraph(pm.n, pm.edges, pm.rotation, pm.regions, pm.labels)
+    assert again == pm
+    return pm
 
 
 def _map_key(pm):
