@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
         violations = pred(g, phi)
         report[name] = {
             "holds": not violations,
-            "violations": [vars(v) for v in violations],
+            "violations": [v._asdict() for v in violations],
         }
     _emit({"k": phi.k, "verdicts": report}, args.format)
     return 0 if report[args.require]["holds"] else 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph
 
@@ -26,9 +26,9 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        for c in self.colors:
-            if c < 0:
-                raise ValueError(f"negative color id {c}")
+        if self.colors and min(self.colors) < 0:
+            first = next(c for c in self.colors if c < 0)
+            raise ValueError(f"negative color id {first}")
 
     @property
     def k(self) -> int:
@@ -42,8 +42,12 @@ class Coloring:
         return Coloring(tuple(perm[c] for c in self.colors))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """One failed condition at one vertex: an immutable, hashable named
+    tuple (a verifier on a tree coloring may return one per vertex, and
+    a tuple is the cheapest record to build).  `color` and `count` are
+    None where the kind has none (no_odd_color)."""
+
     kind: str
     vertex: int
     color: Optional[int] = None
@@ -136,11 +140,12 @@ def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
 
     A vertex's clashes are the color-c(v) groups among its neighbors'
     neighborhoods, minus v and N(v); each such group holds v, so only
-    groups of two or more are built, and groups with the same members
-    are kept once (the leaves of K_{2,n} would otherwise lie in two
-    groups of n).  When v lies in one distinct group and has no
-    same-colored neighbor, its count is the group's size less one, with
-    no set built.
+    groups of two or more are built.  One loop buckets a neighborhood by
+    color, and a neighborhood whose buckets all have one member is
+    skipped.  Groups with the same members are kept once (the leaves of
+    K_{2,n} would otherwise lie in two groups of n).  When v lies in one
+    distinct group and has no same-colored neighbor, its count is the
+    group's size less one, with no set built.
     """
     _check_length(g, phi)
     colors = phi.colors
@@ -148,27 +153,36 @@ def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
     groups_of: dict[int, list[frozenset[int]]] = {}
     seen: set[frozenset[int]] = set()
     for nbrs in g.adj:
-        if len(nbrs) < 2 or len(set(map(colors.__getitem__, nbrs))) == len(nbrs):
+        if len(nbrs) < 2:
             continue
         by_color: dict[int, list[int]] = {}
         for w in nbrs:
-            by_color.setdefault(colors[w], []).append(w)
+            c = colors[w]
+            if c in by_color:
+                by_color[c].append(w)
+            else:
+                by_color[c] = [w]
+        if len(by_color) == len(nbrs):
+            continue
         for members in by_color.values():
             if len(members) > 1:
                 group = frozenset(members)
                 if group not in seen:
                     seen.add(group)
                     for w in group:
-                        groups_of.setdefault(w, []).append(group)
+                        if w in groups_of:
+                            groups_of[w].append(group)
+                        else:
+                            groups_of[w] = [group]
     clash = []
     for v in sorted(groups_of):
         groups = groups_of[v]
         if len(groups) == 1 and v not in same:
-            cnt = len(groups[0]) - 1
-        else:
-            far = set().union(*groups)
-            far.discard(v)
-            cnt = len(far - g.adj[v])
+            clash.append(Violation(DISTANCE2_CLASH, v, colors[v], len(groups[0]) - 1))
+            continue
+        far = set().union(*groups)
+        far.discard(v)
+        cnt = len(far - g.adj[v])
         if cnt:
             clash.append(Violation(DISTANCE2_CLASH, v, colors[v], cnt))
     return _proper_violations(colors, same) + clash

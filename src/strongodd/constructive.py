@@ -49,7 +49,8 @@ def plan_rooted_tree(t: Graph) -> RootedTreePlan:
     seen[0] = True
     order = [0]
     for v in order:  # the list is the queue: it grows while it is read
-        for u in sorted(adj[v]):
+        nbrs = adj[v]
+        for u in sorted(nbrs) if len(nbrs) > 1 else nbrs:
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
@@ -68,20 +69,24 @@ def is_odd_tree(t: Graph) -> bool:
 def _color_below_root_children(
     adj, parent: Sequence[int], order: Sequence[int], colors, avoid: Sequence[int]
 ) -> None:
-    """Color the children of each vertex of order, parents first.  The
-    palette at v is 0..3 without avoid[v].  An even set of children
-    copies the parent's color; an odd set sends its smallest child to the
-    palette color missing from vertex and parent, and the rest copy the
-    parent's."""
-    for v in order:
-        children = [u for u in adj[v] if parent[u] == v]
-        if not children:
-            continue
-        pc = colors[parent[v]]
-        for u in children:
-            colors[u] = pc
-        if len(children) % 2:
-            colors[min(children)] = min({0, 1, 2, 3} - {avoid[v], colors[v], pc})
+    """Color the vertices of order, each a child of a vertex v that has a
+    parent, in one pass.  order is breadth-first with neighbors in
+    increasing order, so v's children are consecutive, smallest first,
+    and v has len(adj[v]) - 1 of them.  The palette at v is 0..3 without
+    avoid[v].  An even set of children copies the parent's color; an
+    odd set sends its smallest child to the palette color missing from
+    vertex and parent, 6 - avoid[v] - colors[v] - pc as the three are
+    distinct, and the rest copy the parent's."""
+    prev = -1
+    for u in order:
+        v = parent[u]
+        if v != prev:
+            prev = v
+            pc = colors[parent[v]]
+            if not len(adj[v]) & 1:
+                colors[u] = 6 - avoid[v] - colors[v] - pc
+                continue
+        colors[u] = pc
 
 
 def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
@@ -108,7 +113,8 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
             colors[u] = 1
         log.note(f"root {plan.root}: even degree, one neighbor recolored")
     # palette 0..2 everywhere
-    _color_below_root_children(t.adj, plan.parent, plan.bfs_order[1:], colors, (3,) * t.n)
+    below = plan.bfs_order[1 + len(root_nbrs):]
+    _color_below_root_children(t.adj, plan.parent, below, colors, (3,) * t.n)
     return Coloring(tuple(colors))
 
 
@@ -152,7 +158,7 @@ class UnicycleDecomposition:
 def decompose_unicyclic(g: Graph) -> UnicycleDecomposition:
     """Locate the unique cycle by leaf stripping, then walk the pendant
     forest breadth-first from the cycle."""
-    if g.m != g.n or not g.is_connected():
+    if not g.n or g.m != g.n or not g.is_connected():
         raise ConstructionError("input is not a connected unicyclic graph")
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
@@ -257,15 +263,19 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     for v in dec.forest_order:
         p = parent[v]
         avoid[v] = colors[p] if avoid[p] < 0 else avoid[p]
+    # the roots' children follow the roots in forest_order, root by root
+    order = dec.forest_order
     nroots = sum(len(roots) for roots in dec.pendant_roots.values())
-    for r in dec.forest_order[:nroots]:
-        children = [u for u in sorted(g.adj[r]) if parent[u] == r]
+    below = nroots
+    for r in order[:nroots]:
+        children = order[below:below + len(g.adj[r]) - 1]
+        below += len(children)
         others = sorted({0, 1, 2, 3} - {avoid[r], colors[r]})
         for u in children:
             colors[u] = others[0]
         if children and len(children) % 2 == 0:
             colors[children[-1]] = others[1]
-    _color_below_root_children(g.adj, parent, dec.forest_order[nroots:], colors, avoid)
+    _color_below_root_children(g.adj, parent, order[below:], colors, avoid)
     return Coloring(tuple(colors))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .colorings import Coloring, color_counts, is_proper, is_strong_odd
 from .graphs import Graph
@@ -1027,8 +1027,10 @@ def _corner_rank(b: _MapBuilder, y: int) -> tuple[int, int]:
 # Facially odd colorings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaceViolation:
+class FaceViolation(NamedTuple):
+    """One failed condition on one face (-1 for an improper edge), a
+    named tuple like `colorings.Violation`."""
+
     kind: str
     face: int
     color: Optional[int] = None

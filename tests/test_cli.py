@@ -68,6 +68,47 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert json.loads(out)["verdicts"]["proper"]["holds"]
 
 
+# recorded from the dataclass records, which the named tuples must match
+# byte for byte: a 4-cycle 0-1-2-3 with a pendant vertex 4 at 0, colored
+# 0,1,0,1,0, so that every kind of violation occurs
+_VERIFY_ROWS = {
+    "proper": [("not_proper", 0, 0, 1), ("not_proper", 4, 0, 1)],
+    "odd": [("not_proper", 0, 0, 1), ("not_proper", 4, 0, 1), ("no_odd_color", 1, None, None),
+            ("no_odd_color", 2, None, None), ("no_odd_color", 3, None, None)],
+    "so": [("not_proper", 0, 0, 1), ("not_proper", 4, 0, 1),
+           ("even_color_in_neighborhood", 0, 1, 2), ("even_color_in_neighborhood", 1, 0, 2),
+           ("even_color_in_neighborhood", 2, 1, 2), ("even_color_in_neighborhood", 3, 0, 2)],
+    "square": [("not_proper", 0, 0, 1), ("not_proper", 4, 0, 1),
+               ("distance2_clash", 0, 0, 1), ("distance2_clash", 1, 1, 1),
+               ("distance2_clash", 2, 0, 1), ("distance2_clash", 3, 1, 1)],
+}
+
+
+def test_verify_json_rows_are_pinned(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 4]]}))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"colors": [0, 1, 0, 1, 0]}))
+    code, out = run(capsys, "verify", "--graph", str(gpath), "--coloring", str(cpath),
+                    "--format", "json")
+    assert code == 1
+    fields = ("kind", "vertex", "color", "count")
+    expected = {"k": 2, "verdicts": {
+        name: {"holds": False, "violations": [dict(zip(fields, row)) for row in rows]}
+        for name, rows in _VERIFY_ROWS.items()
+    }}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_color_unicyclic_on_the_empty_graph_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "empty.json"
+    gpath.write_text(json.dumps({"n": 0, "edges": []}))
+    assert main(["color", "--method", "unicyclic", "--graph", str(gpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is not a connected unicyclic graph\n"
+
+
 def test_color_methods(tmp_path, capsys):
     code, out = run(capsys, "color", "--method", "cycle", "--n", "9")
     assert code == 0

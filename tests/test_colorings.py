@@ -30,7 +30,8 @@ from strongodd.graphs import (
     product,
     square,
 )
-from strongodd.randgen import random_graph, random_tree
+from strongodd.planemaps import FaceViolation
+from strongodd.randgen import random_graph, random_odd_tree, random_tree
 
 
 def test_proper_examples():
@@ -290,6 +291,43 @@ def test_square_clashes_on_k2n():
         phi = Coloring(colors)
         for verifier, expected in _reference_violations(g, phi).items():
             assert verifier(g, phi) == expected
+
+
+def test_square_clashes_on_trees_match_path_counts():
+    # In a forest two vertices share at most one neighbor and no
+    # neighbor of v is at distance 2, so v clashes with the w != v of
+    # v's color in N(x), counted once per x in N(v).  The square graph
+    # of _reference_violations cannot reach these sizes.
+    rng = random.Random(27)
+    for i in range(16):
+        n = rng.randint(1000, 4000)
+        t = random_odd_tree(n // 2, rng) if i % 4 == 3 else random_tree(n, rng)
+        c = list(color_tree(t).colors)
+        for _ in range(rng.choice((0, 0, 5, 50))):
+            c[rng.randrange(t.n)] = rng.randrange(3)
+        phi = Coloring(tuple(c))
+        around = [Counter(c[w] for w in nbrs) for nbrs in t.adj]
+        clash = []
+        for v, nbrs in enumerate(t.adj):
+            cnt = sum(around[x][c[v]] - 1 for x in nbrs)
+            if cnt:
+                clash.append(Violation(DISTANCE2_CLASH, v, c[v], cnt))
+        assert is_square_coloring(t, phi) == is_proper(t, phi) + clash
+
+
+@pytest.mark.parametrize("make", [lambda: Violation(NO_ODD_COLOR, 3),
+                                  lambda: FaceViolation("not_proper", -1, 2)])
+def test_violation_records_are_hashable_and_immutable(make):
+    record = make()
+    assert record.count is None and len({record, make()}) == 1
+    with pytest.raises(AttributeError):
+        record.color = 0
+
+
+def test_coloring_names_the_first_negative_id():
+    with pytest.raises(ValueError, match=r"^negative color id -3$"):
+        Coloring((0, 2, -3, 1, -7))
+    assert Coloring(()).k == 0
 
 
 def test_huge_color_ids_allocate_nothing_per_id():

@@ -115,6 +115,13 @@ def test_decompose_unicyclic():
         decompose_unicyclic(make_path(4))
 
 
+def test_unicyclic_refuses_the_empty_graph():
+    # n = m = 0 and a graph of at most one vertex counts as connected
+    for f in (decompose_unicyclic, color_unicyclic):
+        with pytest.raises(ConstructionError, match=r"^input is not a connected unicyclic graph$"):
+            f(Graph(0, frozenset()))
+
+
 def test_color_unicyclic_examples():
     assert color_unicyclic(make_cycle(5)).k == 5
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)])
