@@ -7,11 +7,10 @@ sets.  An empty report means the predicate holds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _read_json
 
 NOT_PROPER = "not_proper"
 EVEN_COLOR = "even_color_in_neighborhood"
@@ -204,6 +203,5 @@ def coloring_from_json_dict(data: dict) -> Coloring:
 
 
 def load_coloring(path) -> Coloring:
-    with open(path) as fh:
-        data = json.load(fh)
-    return coloring_from_json_dict(data)
+    """The coloring in a JSON file; ValueError if it is malformed."""
+    return coloring_from_json_dict(_read_json(path, ValueError))

@@ -9,7 +9,6 @@ and the complementary-pair witnesses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,22 +38,11 @@ class RootedTreePlan:
 
 
 def plan_rooted_tree(t: Graph) -> RootedTreePlan:
-    """Breadth-first from vertex 0, neighbors in increasing order.  The
-    walk is also the tree check: n - 1 edges and every vertex reached."""
+    """The breadth-first walk from vertex 0 (Graph.bfs).  It is also the
+    tree check: n - 1 edges and every vertex reached."""
     if t.m != t.n - 1:
         raise ConstructionError("input is not a tree")
-    adj = t.adj
-    parent = [-1] * t.n
-    seen = [False] * t.n
-    seen[0] = True
-    order = [0]
-    for v in order:  # the list is the queue: it grows while it is read
-        nbrs = adj[v]
-        for u in sorted(nbrs) if len(nbrs) > 1 else nbrs:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                order.append(u)
+    order, parent = t.bfs([0])
     if len(order) != t.n:
         raise ConstructionError("input is not a tree")
     return RootedTreePlan(0, tuple(parent), tuple(order))
@@ -102,7 +90,8 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     plan = plan_rooted_tree(t)
     colors = [-1] * t.n
     colors[plan.root] = 0
-    root_nbrs = sorted(t.adj[plan.root])
+    # the walk lists the root's neighbors right after it, ascending
+    root_nbrs = plan.bfs_order[1:1 + len(t.adj[plan.root])]
     if len(root_nbrs) % 2 == 1:
         for u in root_nbrs:
             colors[u] = 1
@@ -157,45 +146,39 @@ class UnicycleDecomposition:
 
 def decompose_unicyclic(g: Graph) -> UnicycleDecomposition:
     """Locate the unique cycle by leaf stripping, then walk the pendant
-    forest breadth-first from the cycle."""
-    if not g.n or g.m != g.n or not g.is_connected():
+    forest breadth-first from the cycle (Graph.bfs).  With m = n, every
+    vertex left after stripping must keep two neighbors: that refuses a
+    vertex on two cycles or an isolated one, keeps the walk around the
+    cycle from looping, and leaves one cycle per component, so the walk
+    from the cycle reaches every vertex iff the input is connected."""
+    n = g.n
+    if not n or g.m != n:
         raise ConstructionError("input is not a connected unicyclic graph")
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] == 1)
-    while queue:
-        v = queue.popleft()
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    alive = [True] * n
+    queue = [v for v in range(n) if deg[v] == 1]
+    for v in queue:  # the list is the queue: it grows while it is read
         alive[v] = False
-        for u in g.adj[v]:
+        for u in adj[v]:
             if alive[u]:
                 deg[u] -= 1
                 if deg[u] == 1:
                     queue.append(u)
+    if any(d != 2 for d, a in zip(deg, alive) if a):  # d: neighbors left
+        raise ConstructionError("input is not a connected unicyclic graph")
+    # around the cycle from its least vertex, toward its smaller neighbor
     start = alive.index(True)
-    seq = [start]
-    prev = -1
-    while True:
-        nxt = min(u for u in g.adj[seq[-1]] if alive[u] and u != prev)
-        if nxt == start:
-            break
-        prev = seq[-1]
+    seq = [start, min(u for u in adj[start] if alive[u])]
+    while (nxt := next(u for u in adj[seq[-1]] if alive[u] and u != seq[-2])) != start:
         seq.append(nxt)
-    parent = [-1] * g.n
-    seen = alive[:]
-    order = []
-    pendant_roots = {}
-    queue = deque(seq)
-    while queue:
-        x = queue.popleft()
-        children = [u for u in sorted(g.adj[x]) if not seen[u]]
-        for u in children:
-            seen[u] = True
-            parent[u] = x
-        if children and alive[x]:
-            pendant_roots[x] = tuple(children)
-        order.extend(children)
-        queue.extend(children)
-    return UnicycleDecomposition(tuple(seq), pendant_roots, tuple(parent), tuple(order))
+    order, parent = g.bfs(seq)
+    if len(order) != n:
+        raise ConstructionError("input is not a connected unicyclic graph")
+    pendant_roots = {x: tuple(sorted(u for u in adj[x] if not alive[u]))
+                     for x in seq if len(adj[x]) > 2}
+    return UnicycleDecomposition(
+        tuple(seq), pendant_roots, tuple(parent), tuple(order[len(seq):]))
 
 
 def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:

@@ -8,7 +8,6 @@ safe to share between workers.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -78,9 +77,6 @@ class Graph:
             nbrs[v].append(u)
         return tuple(map(frozenset, nbrs))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -97,30 +93,41 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or min(self.bfs_distances(0)) >= 0
+    def bfs(self, sources: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Breadth-first walk from the sources, which open the order.
+        Each vertex's unseen neighbors follow in increasing order, so
+        its children are consecutive and ascending.  parent is -1 for
+        the sources and for the vertices the walk does not reach."""
+        adj = self.adj
+        parent = [-1] * self.n
+        seen = [False] * self.n
+        for s in sources:
+            seen[s] = True
+        order = list(sources)
+        for v in order:  # the list is the queue: it grows while it is read
+            nbrs = adj[v]
+            for u in sorted(nbrs) if len(nbrs) > 1 else nbrs:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    order.append(u)
+        return order, parent
 
-    def bfs_distances(self, source: int) -> list[int]:
-        """Distances from source; -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+    def is_connected(self) -> bool:
+        return self.n <= 1 or len(self.bfs([0])[0]) == self.n
 
     def diameter(self) -> int:
-        """Diameter of a connected graph (0 for a single vertex)."""
+        """Diameter of a connected graph (0 for a single vertex); v's
+        eccentricity is the depth of the last vertex of its walk."""
         best = 0
         for v in range(self.n):
-            dist = self.bfs_distances(v)
-            if min(dist) < 0:
+            order, parent = self.bfs([v])
+            if len(order) < self.n:
                 raise GraphError("diameter undefined for disconnected graph")
-            best = max(best, max(dist))
+            depth, x = 0, order[-1]
+            while x != v:
+                depth, x = depth + 1, parent[x]
+            best = max(best, depth)
         return best
 
 
@@ -277,13 +284,19 @@ def save_json(g: Graph, path) -> None:
         fh.write("\n")
 
 
-def load_json(path) -> Graph:
+def _read_json(path, error: type[ValueError]):
+    """The JSON value in a file, for the graph, coloring and map loaders;
+    malformed JSON raises error("malformed JSON: ...")."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise GraphError(f"malformed JSON: {exc}") from exc
-    return from_json_dict(data)
+            raise error(f"malformed JSON: {exc}") from exc
+
+
+def load_json(path) -> Graph:
+    """The graph in a JSON file; GraphError if it is malformed."""
+    return from_json_dict(_read_json(path, GraphError))
 
 
 def export_dot(g: Graph, coloring=None) -> str:

@@ -29,7 +29,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .colorings import Coloring, color_counts, is_proper, is_strong_odd
-from .graphs import Graph
+from .graphs import Graph, _read_json
 from .solver import Budget, SolveResult, solve_parity_system
 
 
@@ -404,9 +404,8 @@ def save_map(m: PlaneMultigraph, path) -> None:
 
 
 def load_map(path) -> PlaneMultigraph:
-    with open(path) as fh:
-        data = json.load(fh)
-    return map_from_json_dict(data)
+    """The map in a JSON file; MapError if it is malformed."""
+    return map_from_json_dict(_read_json(path, MapError))
 
 
 # ---------------------------------------------------------------------------

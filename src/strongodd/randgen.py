@@ -30,20 +30,27 @@ def random_odd_tree(n_grows: int, rng: random.Random) -> Graph:
 
 
 def random_unicyclic(n: int, rng: random.Random) -> Graph:
-    """Random tree plus one extra edge (connected, exactly one cycle)."""
+    """Random tree plus one extra edge (connected, exactly one cycle).
+    The edge is uniform among the tree's non-edges, drawn as rng.choice
+    on their lexicographic list would draw it; it is found row by row in
+    linear time, without the list."""
     if n < 3:
         raise ValueError("need at least three vertices")
-    while True:
-        t = random_tree(n, rng)
-        non_edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if not t.has_edge(u, v)
-        ]
-        if non_edges:
-            extra = rng.choice(non_edges)
-            return Graph(n, t.edges | {extra})
+    t = random_tree(n, rng)
+    up = [0] * n  # up[u]: tree neighbors above u, each skipped in row u
+    for u, _ in t.edges:
+        up[u] += 1
+    i = rng.randrange((n - 1) * (n - 2) // 2)
+    u = 0
+    while i >= n - 1 - u - up[u]:
+        i -= n - 1 - u - up[u]
+        u += 1
+    v = u + 1 + i  # then step over the tree neighbors at or below v
+    for w in sorted(w for a, w in t.edges if a == u):
+        if w > v:
+            break
+        v += 1
+    return Graph(n, t.edges | {(u, v)})
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -109,6 +109,17 @@ def test_color_unicyclic_on_the_empty_graph_exits_2(tmp_path, capsys):
     assert captured.err == "error: input is not a connected unicyclic graph\n"
 
 
+def test_color_unicyclic_on_a_disconnected_graph_exits_2(tmp_path, capsys):
+    # a dumbbell plus a disjoint edge: as many edges as vertices
+    gpath = tmp_path / "dumbbell.json"
+    gpath.write_text(json.dumps({"n": 11, "edges": [
+        [0, 7], [5, 7], [1, 5], [2, 5], [1, 2], [0, 8], [6, 8], [3, 6], [4, 6], [3, 4], [9, 10]]}))
+    assert main(["color", "--method", "unicyclic", "--graph", str(gpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is not a connected unicyclic graph\n"
+
+
 def test_color_methods(tmp_path, capsys):
     code, out = run(capsys, "color", "--method", "cycle", "--n", "9")
     assert code == 0
@@ -318,6 +329,22 @@ def test_malformed_graph_and_coloring_exit_2(tmp_path, capsys):
         cpath.write_text(json.dumps(bad))
         assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_json_coloring_and_map_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "c4.json"
+    save_json(make_cycle(4), gpath)
+    cpath = tmp_path / "col.json"
+    cpath.write_text('{"colors": [0, 1, 2, 3]')
+    mpath = tmp_path / "map.json"
+    save_map(embed_cycle(4), mpath)
+    mpath.write_text(mpath.read_text()[:-5])
+    for argv in (["verify", "--graph", str(gpath), "--coloring", str(cpath)],
+                 ["plane", "trace", "--map", str(mpath)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed JSON: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,6 +22,7 @@ from strongodd.constructive import (
 from strongodd.graphs import (
     Graph,
     complement,
+    disjoint_union,
     join,
     make_complete,
     make_cycle,
@@ -122,6 +123,45 @@ def test_unicyclic_refuses_the_empty_graph():
             f(Graph(0, frozenset()))
 
 
+# a dumbbell (two triangles joined by a path) plus a disjoint edge: m = n,
+# but vertex 5 lies on a triangle and on the path toward the other one
+DUMBBELL_PLUS_EDGE = Graph.from_edges(11, [(0, 7), (5, 7), (1, 5), (2, 5), (1, 2), (0, 8),
+                                           (6, 8), (3, 6), (4, 6), (3, 4), (9, 10)])
+
+
+@pytest.mark.parametrize("g", [
+    DUMBBELL_PLUS_EDGE,
+    disjoint_union(make_cycle(3), make_cycle(3)),
+    disjoint_union(make_complete(4), Graph(2, frozenset())),
+], ids=["dumbbell_plus_edge", "two_triangles", "k4_plus_two_isolated"])
+def test_unicyclic_refuses_disconnected_inputs_with_as_many_edges_as_vertices(g):
+    # without the core-degree check before the cycle walk, the walk on
+    # the dumbbell goes 0, 7, 5, 1, 2, 5, 1, 2, ... and never ends
+    assert g.m == g.n
+    for f in (decompose_unicyclic, color_unicyclic):
+        with pytest.raises(ConstructionError, match=r"^input is not a connected unicyclic graph$"):
+            f(g)
+
+
+def test_random_unicyclic_draws_as_the_listing_version():
+    def listing(n, rng):
+        t = random_tree(n, rng)
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not t.has_edge(u, v)]
+        return Graph(n, t.edges | {rng.choice(non_edges)})
+
+    for seed in range(2000):
+        n = 3 + seed % 40
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_unicyclic(n, rng) == listing(n, ref)
+        assert rng.getstate() == ref.getstate()
+    # the random stream stays aligned over successive draws
+    rng, ref = random.Random(1), random.Random(1)
+    for _ in range(200):
+        n = rng.randint(3, 40)
+        assert n == ref.randint(3, 40)
+        assert random_unicyclic(n, rng) == listing(n, ref)
+
+
 def test_color_unicyclic_examples():
     assert color_unicyclic(make_cycle(5)).k == 5
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)])
@@ -176,6 +216,31 @@ def test_color_unicyclic_output_is_pinned():
     for g in corpus():
         h.update(repr(color_unicyclic(g).colors).encode())
     assert h.hexdigest()[:16] == "527b7788da1da0a6"
+
+
+def test_decompose_unicyclic_output_is_pinned():
+    # the corpus of test_color_unicyclic_output_is_pinned; recorded from
+    # the earlier decomposition that checked connectivity with a separate
+    # traversal and walked the pendant forest with its own queue
+    def corpus():
+        rng = random.Random(5)
+        for _ in range(300):
+            yield random_unicyclic(rng.randint(3, 80), rng)
+        rng = random.Random(6)
+        for _ in range(100):
+            yield _cycle_with_trees(5, rng.randint(6, 40), rng)
+        for _ in range(100):
+            c = rng.randint(3, 12)
+            yield _cycle_with_trees(c, rng.randint(c, 60), rng)
+        for c in [*range(3, 13), 1000, 1001, 1002]:
+            yield _leaf_per_vertex(c)
+
+    h = hashlib.sha256()
+    for g in corpus():
+        dec = decompose_unicyclic(g)
+        h.update(repr((dec.cycle, sorted(dec.pendant_roots.items()),
+                       dec.parent, dec.forest_order)).encode())
+    assert h.hexdigest()[:16] == "700e9a1482961d89"
 
 
 def test_color_unicyclic_random_corpus():

@@ -24,6 +24,7 @@ from strongodd.graphs import (
     square,
     to_json_dict,
 )
+from strongodd.randgen import random_graph
 
 
 def random_graph_strategy():
@@ -176,3 +177,54 @@ def test_diameter_and_connectivity():
     assert not g.is_connected()
     with pytest.raises(GraphError):
         g.diameter()
+
+
+def _all_pairs_distances(g):
+    """Floyd-Warshall; None for unreachable pairs."""
+    inf = g.n
+    d = [[0 if u == v else inf for v in range(g.n)] for u in range(g.n)]
+    for u, v in g.edges:
+        d[u][v] = d[v][u] = 1
+    for k in range(g.n):
+        for i in range(g.n):
+            for j in range(g.n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return [[x if x < inf else None for x in row] for row in d]
+
+
+def test_bfs_walk_and_the_checks_built_on_it():
+    rng = random.Random(28)
+    connected = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = random_graph(n, rng.choice((0.1, 0.25, 0.5)), rng)
+        sources = rng.sample(range(n), rng.randint(min(n, 1), min(n, 3)))
+        order, parent = g.bfs(sources)
+        d = _all_pairs_distances(g)
+        assert order[:len(sources)] == sources
+        assert len(set(order)) == len(order) and len(parent) == n
+        # the walk reaches exactly the vertices at a finite distance
+        dist = [min((d[s][v] for s in sources if d[s][v] is not None), default=None)
+                for v in range(n)]
+        assert sorted(order) == [v for v in range(n) if dist[v] is not None]
+        assert all(parent[v] == -1 for v in range(n) if dist[v] in (None, 0))
+        pos = {v: i for i, v in enumerate(order)}
+        children = {}
+        for v in order[len(sources):]:
+            assert g.has_edge(v, parent[v]) and pos[parent[v]] < pos[v]
+            assert dist[v] == dist[parent[v]] + 1
+            children.setdefault(parent[v], []).append(v)
+        for x, kids in children.items():
+            first = pos[kids[0]]
+            assert [pos[k] for k in kids] == list(range(first, first + len(kids)))
+            assert kids == sorted(kids)
+        # is_connected and diameter against the all-pairs reference
+        flat = [x for row in d for x in row]
+        assert g.is_connected() == (None not in flat)
+        if None in flat:
+            with pytest.raises(GraphError, match="disconnected"):
+                g.diameter()
+        else:
+            connected += 1
+            assert g.diameter() == max(flat, default=0)
+    assert 50 < connected < 250
