@@ -34,38 +34,56 @@ a positive even count are ``used_in[e] & ~odd_in[e]``, and the fixers
 of e, the uncolored vertices with no neighbor colored e, are
 ``uncolored & ~blocked[e]``.
 
-Rule (a) is the bit test ``blocked[c] >> v``.  It runs once when the
-search enters a depth: the colors v may take there (not blocked, at
-most 1 + the largest color used so far) form the mask of v's legal
-colors, which the search tries in ascending order.
+The search decides all children of a depth at once, when it enters
+the depth, from the state before any of them is assigned: the forward
+check of Haralick & Elliott (1980).  Rule (a) is the bit test
+``blocked[e] >> v``: the colors v may take (not blocked, at most 1 +
+the largest color used so far) form the mask of v's legal colors, and
+child c is v := c, for each legal c in ascending order.
 
 The vertex order is static, so the scopes whose last member in it is v
 form a mask ``closing[v]``, built once per instance.  These are the
 scopes that rule (b) checks when v is colored.  Under EXISTS_ODD (some
 color odd in every scope; rule (c) does not apply) a closing scope must
-lie in ``odd_in[e]`` for some color e.  Under ALL_ODD rule (b) is the
+lie in ``odd_in[e]`` for some color e, so child c fails when a closing
+scope is odd in c and in no other color.  Under ALL_ODD rule (b) is the
 case of rule (c) with no uncolored member left: a closed scope with an
 even color has no fixer.
 
 Coloring v with c changes a scope's counts and uncolored members only
 if v is in it, and its fixers only if it holds a neighbor of v, and
 then only the fixers of c.  Every scope with an uncolored member passed
-rule (c) before the assignment.  So in v's own scopes only v's legal
-colors at this depth need the test, c among them: any other color e
-was blocked for v (a color above the legal range is unused), so v was
-not a fixer of e, and e's counts and fixers there did not change.  In a
-scope that closes at v, v was the only uncolored member and hence the
-only possible fixer, so no such e is even there either.  In the other
-scopes touching N(v) only c can fail, in the set ``used_in[c] &
-~odd_in[c] & others[v]``.  This prunes exactly the nodes that testing
-every color of every scope would, so node counts do not depend on it.
-The per-vertex masks are built once per instance and reused for every
-k.
+rule (c) when v's depth was entered.  So child c needs the test only in
+v's own scopes vs, and for c in the other scopes touching N(v),
+``others[v]``; an illegal color e was blocked for v, so v was not a
+fixer of e, and e's counts and fixers there did not change.  None of
+these tests reads the assignment:
+
+  - a legal color e other than c keeps ``used_in[e]``, ``odd_in[e]``
+    and ``blocked[e]``; only v leaves ``uncolored``.  So the failing
+    set F, the legal e with an even scope in ``used_in[e] & ~odd_in[e]
+    & vs`` that has no fixer in ``(uncolored - v) & ~blocked[e]``, is
+    the same for every child.  Two failing colors prune every child,
+    and one, e, leaves only child e;
+  - once v takes c, the even scopes of c in vs are ``odd_in[c] & vs``,
+    those in ``others[v]`` keep ``used_in[c] & ~odd_in[c]``, and both
+    have the fixers ``(uncolored - v) & ~(blocked[c] | nbr[v])``.
+
+This prunes exactly the children that assigning each one and testing
+every color of every scope would.  The per-vertex masks are built once
+per instance and reused for every k.
 
 The depth-first search keeps an explicit stack: per depth v's legal
-colors, those not tried yet, the largest color used so far, and the
-``blocked[c]`` and ``used_in[c]`` to restore on undo.  Input size is
-therefore not limited by the interpreter's recursion depth.
+colors not tried yet, those whose child survives, the largest color
+used so far, and the ``blocked[c]`` and ``used_in[c]`` to restore on
+undo.  Only survivors are assigned.  A pruned child still counts as a
+node, as if it had been assigned and undone: the step to the next
+survivor counts it and the pruned children below it in one
+``bit_count``, and a depth with no survivor left counts the rest.  The
+node cap and the clock probes (node 1 and every 4,096 nodes) fall on
+the exact node inside a step, so node counts, give-ups and statuses
+are those of a search that assigns every child.  Input size is not
+limited by the interpreter's recursion depth.
 
 Solves and decisions are split into the components of the conflict
 relation: two vertices are joined when they are adjacent or share a
@@ -125,6 +143,7 @@ lo == hi.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -414,88 +433,132 @@ class _ParitySearch:
         used_in = [0] * k
         odd_in = [0] * k
         uncolored = _bits(part)
-        # per depth: v's legal colors, those not tried yet, the largest
-        # color on earlier vertices, and blocked[c] and used_in[c] before
-        # the assignment; depth 0 may only take color 0
-        legal = [1] * n
-        todo = [1] * n
+        # per depth: v's legal colors not tried yet, those whose child
+        # survives rules (b) and (c), the largest color on earlier
+        # vertices, and blocked[c] and used_in[c] before the assignment;
+        # depth 0 may only take color 0, and nothing prunes it
+        left = [1] * n
+        live = [1] * n
         top = [-1] * n
         saved_blocked = [0] * n
         saved_used = [0] * n
+        # the next node that reads the clock, and the first node that
+        # reads it or passes the cap
+        probe = stop = 1
         nodes = 0
         pos = 0
         while pos < n:
-            v = part[pos]
-            cand = todo[pos]
+            todo = left[pos]
+            cand = todo & live[pos]
             if cand:
+                # try the lowest survivor c; the pruned children below it
+                # are tried too, one node each
                 low = cand & -cand
-                todo[pos] = cand ^ low
-                c = low.bit_length() - 1
-                nodes += 1
-                if nodes > node_cap or (
-                    nodes & 4095 == 1 and time.monotonic() >= deadline
-                ):
-                    return UNKNOWN, nodes
-                vs = vsmask[v]
-                color[v] = c
-                uncolored ^= 1 << v
-                saved_blocked[pos] = blocked[c]
-                blocked[c] |= nbr[v]
-                saved_used[pos] = used_in[c]
-                used_in[c] |= vs
-                odd_in[c] ^= vs
-                pruned = False
-                if check_c:
-                    # rule (c) for v's legal colors in v's scopes; a closed
-                    # scope has no fixer, so this is rule (b) too
-                    tests = legal[pos]
-                    while tests and not pruned:
-                        low = tests & -tests
-                        tests ^= low
-                        e = low.bit_length() - 1
-                        even = used_in[e] & ~odd_in[e] & vs
-                        fixers = uncolored & ~blocked[e]
-                        while even:
-                            low = even & -even
-                            if not smask[low.bit_length() - 1] & fixers:
-                                pruned = True
-                                break
-                            even ^= low
-                    if not pruned:
-                        # rule (c) for c in the other scopes touching N(v)
-                        even = used_in[c] & ~odd_in[c] & others[v]
-                        fixers = uncolored & ~blocked[c]
-                        while even:
-                            low = even & -even
-                            if not smask[low.bit_length() - 1] & fixers:
-                                pruned = True
-                                break
-                            even ^= low
-                elif closing[v]:
-                    # rule (b) under EXISTS_ODD: a closed scope needs an odd color
-                    pruned = bool(closing[v] & ~_or(odd_in))
-                if not pruned:
-                    pos += 1
-                    if pos < n:
-                        t = top[pos] = c if c > top[pos - 1] else top[pos - 1]
-                        u = part[pos]
-                        free = 0
-                        for e in range(min(t + 2, k)):  # rule (a)
-                            if not blocked[e] >> u & 1:
-                                free |= 1 << e
-                        legal[pos] = todo[pos] = free
-                    continue
-            elif pos == 0:
-                return NO, nodes
+                tried = todo & ((low << 1) - 1)
+                left[pos] = todo ^ tried
             else:
+                tried = todo
+            if tried:
+                nodes += tried.bit_count()
+                if nodes >= stop:
+                    # the clock is read at node 1 and every 4,096 nodes
+                    # after it, up to the cap
+                    while probe <= nodes and probe <= node_cap:
+                        if time.monotonic() >= deadline:
+                            return UNKNOWN, probe
+                        probe += 4096
+                    if nodes > node_cap:
+                        return UNKNOWN, math.floor(node_cap) + 1
+                    stop = probe if probe <= node_cap else math.floor(node_cap) + 1
+            if not cand:
+                if pos == 0:
+                    return NO, nodes
+                # undo the assignment at the depth above
                 pos -= 1
                 v = part[pos]
                 c = color[v]
-            # undo v := c at depth pos
-            uncolored |= 1 << v
-            blocked[c] = saved_blocked[pos]
-            used_in[c] = saved_used[pos]
-            odd_in[c] ^= vsmask[v]
+                uncolored |= 1 << v
+                blocked[c] = saved_blocked[pos]
+                used_in[c] = saved_used[pos]
+                odd_in[c] ^= vsmask[v]
+                continue
+            v = part[pos]
+            c = low.bit_length() - 1
+            vs = vsmask[v]
+            color[v] = c
+            uncolored ^= 1 << v
+            saved_blocked[pos] = blocked[c]
+            blocked[c] |= nbr[v]
+            saved_used[pos] = used_in[c]
+            used_in[c] |= vs
+            odd_in[c] ^= vs
+            pos += 1
+            if pos == n:
+                break
+            # enter the next depth: decide every child of u from the state
+            # before its assignment (see the module docstring)
+            t = top[pos] = c if c > top[pos - 1] else top[pos - 1]
+            u = part[pos]
+            if check_c:
+                vs, ot = vsmask[u], others[u]
+                rest = uncolored ^ (1 << u)
+            else:
+                vs = 0
+            free = fail = 0
+            for e in range(min(t + 2, k)):
+                if blocked[e] >> u & 1:  # rule (a)
+                    continue
+                free |= 1 << e
+                # rule (c) for e in u's scopes, whichever other color u
+                # takes; after two failures the answer is known
+                if vs and not fail & (fail - 1):
+                    even = used_in[e] & vs & ~odd_in[e]
+                    if even:
+                        fixers = rest & ~blocked[e]
+                        while even:
+                            low = even & -even
+                            if not smask[low.bit_length() - 1] & fixers:
+                                fail |= 1 << e
+                                break
+                            even ^= low
+            left[pos] = free
+            # a failing color leaves only its own child, two leave none
+            ok = free if not fail else 0 if fail & (fail - 1) else fail
+            if check_c and ok and (vs or ot):
+                # rule (c) for c itself once u takes it: c is even in u's
+                # scopes where it is odd now, and in the other scopes
+                # touching N(u) where it is even now; u's color blocks
+                # its neighbors
+                nu = nbr[u]
+                tests = ok
+                while tests:
+                    bit = tests & -tests
+                    tests ^= bit
+                    e = bit.bit_length() - 1
+                    even = odd_in[e] & vs | used_in[e] & ot & ~odd_in[e]
+                    if even:
+                        fixers = rest & ~(blocked[e] | nu)
+                        while even:
+                            low = even & -even
+                            if not smask[low.bit_length() - 1] & fixers:
+                                ok ^= bit
+                                break
+                            even ^= low
+            elif not check_c and closing[u]:
+                # rule (b) under EXISTS_ODD: a closing scope that is odd
+                # in c alone turns even when u takes c
+                cl = closing[u]
+                once = twice = 0
+                for e in range(t + 1):
+                    odd = odd_in[e] & cl
+                    twice |= once & odd
+                    once |= odd
+                alone = once & ~twice
+                if alone:
+                    for e in range(t + 1):
+                        if odd_in[e] & alone:
+                            ok &= ~(1 << e)
+            live[pos] = ok
         return YES, nodes
 
 

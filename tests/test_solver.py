@@ -20,6 +20,7 @@ from strongodd.graphs import (
     product,
     square,
 )
+from strongodd import solver
 from strongodd.planemaps import augment_claim2, chi_pfo_exact, decompose_claim1
 from strongodd.solver import (
     ALL_ODD,
@@ -398,6 +399,22 @@ def test_the_planar_map_that_gave_up_is_certified():
     assert is_strong_odd(g, res.witness) == []
 
 
+def test_rule_c_reads_the_implied_graph_in_the_other_scopes():
+    # others[v], the scopes touching N(v) that rule (c) tests for v's
+    # color, must come from the implied adjacency: v's color blocks its
+    # implied neighbors too.  Built from the input graph it misses scopes,
+    # and the first map "certifies" 7 after 37 nodes with a witness that
+    # is not strong odd, while the second needs 14,170 nodes
+    g = random_planar_map(23, random.Random(2)).underlying
+    res = chi_so_exact(g, Budget(max_nodes=100_000))
+    assert (res.value, res.optimal, res.nodes_explored) == (7, True, 26_436)
+    assert is_strong_odd(g, res.witness) == []
+    g = random_planar_map(37, random.Random(1)).underlying
+    res = chi_so_exact(g, Budget(max_nodes=100_000))
+    assert (res.value, res.optimal, res.nodes_explored) == (6, True, 12_930)
+    assert is_strong_odd(g, res.witness) == []
+
+
 def test_the_implied_bound_decides_at_once():
     # the rainbow neighborhoods imply a 7-clique; searched from the
     # clique bound 4, k = 6 gave up after 806,913 nodes in 2 s
@@ -447,6 +464,60 @@ def test_budget_exhaustion_brackets_with_a_valid_witness(solve, verify):
         # the first node past the budget, and no component is searched
         # after it
         assert res.nodes_explored <= 4
+
+
+def _capped_instances():
+    """(name, search, k) of decisions that prune by rule (c) (NO and YES),
+    by rule (b) under EXISTS_ODD, by rule (a) alone, and on faces."""
+    g = random_graph(18, 0.3, random.Random("18:0.3"))
+    so = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
+    yield "chi_so no", so, 6
+    yield "chi_so yes", so, 7
+    g = random_graph(16, 0.3, random.Random("odd:16:0.3"))
+    scopes = [sorted(g.adj[v]) for v in range(g.n) if g.adj[v]]
+    yield "chi_odd no", _ParitySearch(g.n, g.adj, scopes, EXISTS_ODD), 3
+    g = random_graph(30, 0.5, random.Random("30:0.5"))
+    yield "chi no", _ParitySearch(g.n, g.adj, [], ALL_ODD), 6
+    pm = random_planar_map(50, random.Random("cap:pfo:50"))
+    aug = max((augment_claim2(p) for p in decompose_claim1(pm, chi_exact(pm.underlying).witness)),
+              key=lambda m: m.n)
+    faces = [sorted(f) for f in aug.face_vertex_sets()]
+    yield "chi_pfo no", _ParitySearch(aug.n, aug.underlying.adj, faces, ALL_ODD), 5
+
+
+@pytest.mark.parametrize("name,search,k", list(_capped_instances()))
+def test_the_node_cap_is_exact(name, search, k):
+    # one step of the search counts a survivor and the pruned children
+    # before it; a cap inside a step still stops at the first node past it
+    whole = search.order
+    color = [0] * search.n
+    status, nodes = search.run(k, whole, color, math.inf, math.inf)
+    colors = tuple(color)
+    assert nodes > 80
+    for cap in [*range(min(nodes, 300) + 1), nodes - 1, nodes, nodes + 1, 10 * nodes]:
+        got = search.run(k, whole, color, cap, math.inf)
+        if cap < nodes:
+            assert got == ("unknown", cap + 1), (name, cap)
+            # a cap between two nodes stops at the first node past it
+            assert search.run(k, whole, color, cap + 0.5, math.inf) == got, (name, cap)
+        else:
+            assert got == (status, nodes), (name, cap)
+            assert status != "yes" or tuple(color) == colors
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_the_clock_is_read_at_node_1_and_every_4096_nodes(monkeypatch, j):
+    # the Budget docstring's promise: a run stops at the first probe at
+    # or past its deadline, and probes only there
+    g = random_graph(20, 0.2, random.Random("20:0.2"))
+    search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
+    whole, color = search.order, [0] * g.n
+    assert search.run(7, whole, color, 8193, math.inf) == ("unknown", 8194)
+    reads = itertools.count(1)
+    # the j-th read is the first at the deadline
+    monkeypatch.setattr(solver.time, "monotonic", lambda: float(next(reads) >= j))
+    assert search.run(7, whole, color, math.inf, 1.0) == ("unknown", 4096 * (j - 1) + 1)
+    assert next(reads) == j + 1
 
 
 @pytest.mark.parametrize("field", ["max_nodes", "max_time"])
