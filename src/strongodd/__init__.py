@@ -57,7 +57,6 @@ from .planemaps import (
     decompose_claim1,
     is_facially_odd,
     is_proper_facially_odd,
-    strong_odd_via_planar,
     trace_faces,
 )
 from .gallery import GalleryEntry, check_structural_constraints, gallery

@@ -27,6 +27,7 @@ from .colorings import (
     load_coloring,
 )
 from .graphs import (
+    _write_json,
     join,
     load_json,
     make_complete,
@@ -82,11 +83,15 @@ def cmd_gen(args) -> int:
         g = make_complete(args.n)
     elif args.family == "star":
         g = make_star(args.n)
-    elif args.family == "complete-bipartite":
-        m, n = (int(x) for x in args.parts.split(","))
-        g = make_complete_bipartite(m, n)
-    elif args.family == "complete-multipartite":
-        g = make_complete_multipartite([int(x) for x in args.parts.split(",")])
+    elif args.family in ("complete-bipartite", "complete-multipartite"):
+        need = "2" if args.family == "complete-bipartite" else "1 or more"
+        try:
+            parts = [int(x) for x in args.parts.split(",")]
+        except ValueError:
+            parts = [0]
+        if min(parts) < 1 or (need == "2" and len(parts) != 2):
+            raise ValueError(f"--parts must be {need} positive sizes, separated by commas")
+        g = make_complete_multipartite(parts)
     elif args.family == "gallery":
         try:
             g = gallery_entry(args.name).graph
@@ -181,7 +186,7 @@ def _optimal_factor_coloring(name, g, budget):
 
 
 def cmd_color(args) -> int:
-    log = constructive.ProvenanceLog()
+    log = []
     out = {}
     if args.method in ("tree", "unicyclic") and not args.graph:
         raise ValueError(f"--method {args.method} requires --graph")
@@ -197,10 +202,10 @@ def cmd_color(args) -> int:
         phi = constructive.color_unicyclic(g, log)
     elif args.method == "c5box":
         phi = constructive.c5_box_c5_table()
-        log.note("fixed 5-color grid assignment")
+        log.append("fixed 5-color grid assignment")
     elif args.method == "direct-complete":
         phi = constructive.color_direct_complete(args.p, args.q)
-        log.note(f"direct product of complete graphs on {args.p} and {args.q}")
+        log.append(f"direct product of complete graphs on {args.p} and {args.q}")
     elif args.method == "product":
         left = load_json(args.left)
         right = load_json(args.right)
@@ -221,17 +226,17 @@ def cmd_color(args) -> int:
             phi = constructive.compose_product_coloring(
                 left, phi_l, right, phi_r, args.kind
             )
-        log.note(f"composed optimal factor colorings for the {args.kind} product")
+        log.append(f"composed optimal factor colorings for the {args.kind} product")
         out["graph"] = to_json_dict(product(left, right, args.kind))
     elif args.method == "ng":
         g, phi, phi_c = constructive.nordhaus_gaddum(args.k, args.which)
-        log.note(f"complementary-pair construction {args.which} at k={args.k}")
+        log.append(f"complementary-pair construction {args.which} at k={args.k}")
         out["graph"] = to_json_dict(g)
         out["complement_colors"] = list(phi_c.colors)
     else:
         raise SystemExit(f"unknown method {args.method}")
     out.update(coloring_to_json_dict(phi))
-    out["provenance"] = log.events
+    out["provenance"] = log
     _emit(out, args.format)
     return 0
 
@@ -351,39 +356,45 @@ def cmd_gallery(args) -> int:
 # corpus
 # ---------------------------------------------------------------------------
 
+_CORPUS_MIN_SIZE = {"tree": 2, "unicyclic": 3, "planar_embedded": 4, "general": 1}
+
+
 def cmd_corpus(args) -> int:
+    low = _CORPUS_MIN_SIZE[args.family]
+    if args.size < low:
+        raise ValueError(f"--size must be at least {low} for --family {args.family}")
+    if args.count < 0:
+        raise ValueError("--count must be at least 0")
     rng = random.Random(args.seed)
     failures = []
     items = []
     for i in range(args.count):
         if args.family == "tree":
-            g = randgen.random_tree(rng.randint(2, args.size), rng)
+            g = randgen.random_tree(rng.randint(low, args.size), rng)
             phi = constructive.color_tree(g)
             ok = not is_strong_odd(g, phi) and (
                 (phi.k == 2) == constructive.is_odd_tree(g)
             )
             items.append((g, phi, ok))
         elif args.family == "unicyclic":
-            g = randgen.random_unicyclic(rng.randint(3, args.size), rng)
+            g = randgen.random_unicyclic(rng.randint(low, args.size), rng)
             phi = constructive.color_unicyclic(g)
             dec = constructive.decompose_unicyclic(g)
             cap = 5 if (len(dec.cycle) == 5 and not dec.pendant_roots) else 4
             ok = not is_strong_odd(g, phi) and phi.k <= cap
             items.append((g, phi, ok))
         elif args.family == "general":
-            n = rng.randint(1, min(args.size, 8))
+            n = rng.randint(low, min(args.size, 8))
             g = randgen.random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
             ok = solver.chi_so_exact(g).value == solver.brute_force_chi_so(g)
             items.append((g, None, ok))
         elif args.family == "planar_embedded":
-            n = rng.randint(4, min(args.size, 14))
+            n = rng.randint(low, min(args.size, 14))
             pm = randgen.random_planar_map(n, rng)
             phi = solver.chi_exact(pm.underlying).witness
             res = planemaps.strong_odd_via_planar_detailed(pm, phi)
             ok = res.coloring.k <= phi.k * max(res.piece_color_counts)
             items.append((pm.underlying, res.coloring, ok))
-        else:
-            raise SystemExit(f"unknown family {args.family}")
         if not items[-1][2]:
             failures.append(i)
     if args.out:
@@ -392,12 +403,10 @@ def cmd_corpus(args) -> int:
         outdir = pathlib.Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, (g, phi, _) in enumerate(items):
-            with open(outdir / f"{args.family}_{i:04d}.json", "w") as fh:
-                data = to_json_dict(g)
-                if phi is not None:
-                    data["colors"] = list(phi.colors)
-                json.dump(data, fh)
-                fh.write("\n")
+            data = to_json_dict(g)
+            if phi is not None:
+                data["colors"] = list(phi.colors)
+            _write_json(outdir / f"{args.family}_{i:04d}.json", data)
     _emit(
         {
             "family": args.family,

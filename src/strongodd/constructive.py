@@ -4,12 +4,14 @@ Covers trees (2 or 3 colors), cycles, connected unicyclic graphs (at
 most 4 colors except the bare five-cycle), coloring compositions for the
 four graph products, optimal colorings of direct products of complete
 graphs, the five-color grid coloring of the five-cycle Cartesian square,
-and the complementary-pair witnesses.
+and the complementary-pair witnesses.  The tree, cycle and unicyclic
+constructions append their case decisions to log, a plain list of
+strings, when one is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .colorings import Coloring, is_strong_odd
@@ -18,16 +20,6 @@ from .graphs import Graph, disjoint_union, join, make_complete, product
 
 class ConstructionError(ValueError):
     pass
-
-
-@dataclass
-class ProvenanceLog:
-    """The case decisions a construction took."""
-
-    events: list[str] = field(default_factory=list)
-
-    def note(self, msg: str) -> None:
-        self.events.append(msg)
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ def _color_below_root_children(
         colors[u] = pc
 
 
-def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
+def color_tree(t: Graph, log: Optional[list[str]] = None) -> Coloring:
     """Strong odd coloring of a tree with 2 colors if it is odd, else 3.
 
     Breadth-first: the root's neighborhood is made monochromatic when the
@@ -86,7 +78,7 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     and an odd set sends one child to the color missing from vertex and
     parent.
     """
-    log = log if log is not None else ProvenanceLog()
+    log = [] if log is None else log
     plan = plan_rooted_tree(t)
     colors = [-1] * t.n
     colors[plan.root] = 0
@@ -95,12 +87,12 @@ def color_tree(t: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     if len(root_nbrs) % 2 == 1:
         for u in root_nbrs:
             colors[u] = 1
-        log.note(f"root {plan.root}: odd degree, monochromatic neighborhood")
+        log.append(f"root {plan.root}: odd degree, monochromatic neighborhood")
     elif root_nbrs:
         colors[root_nbrs[0]] = 2
         for u in root_nbrs[1:]:
             colors[u] = 1
-        log.note(f"root {plan.root}: even degree, one neighbor recolored")
+        log.append(f"root {plan.root}: even degree, one neighbor recolored")
     # palette 0..2 everywhere
     below = plan.bfs_order[1 + len(root_nbrs):]
     _color_below_root_children(t.adj, plan.parent, below, colors, (3,) * t.n)
@@ -124,11 +116,11 @@ def cycle_pattern(n: int) -> tuple[int, ...]:
     return (0, 1, 2) * ((n - len(tail)) // 3) + tail
 
 
-def color_cycle(n: int, log: Optional[ProvenanceLog] = None) -> Coloring:
+def color_cycle(n: int, log: Optional[list[str]] = None) -> Coloring:
     """Strong odd coloring of the cycle on vertices 0..n-1 in cycle order."""
-    log = log if log is not None else ProvenanceLog()
+    log = [] if log is None else log
     pat = cycle_pattern(n)
-    log.note(f"cycle {n}: {max(pat) + 1} colors")
+    log.append(f"cycle {n}: {max(pat) + 1} colors")
     return Coloring(pat)
 
 
@@ -181,7 +173,7 @@ def decompose_unicyclic(g: Graph) -> UnicycleDecomposition:
         tuple(seq), pendant_roots, tuple(parent), tuple(order[len(seq):]))
 
 
-def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
+def color_unicyclic(g: Graph, log: Optional[list[str]] = None) -> Coloring:
     """Strong odd coloring of a connected unicyclic graph.
 
     Uses at most 4 colors, except the bare five-cycle which needs 5.  The
@@ -190,7 +182,7 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     five-cycle anchor), and pendant trees are finished with the 3-color
     palette that avoids their attachment vertex.
     """
-    log = log if log is not None else ProvenanceLog()
+    log = [] if log is None else log
     dec = decompose_unicyclic(g)
     cyc = dec.cycle
     nc = len(cyc)
@@ -206,7 +198,7 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
     for v, c in zip(ring, pat):
         colors[v] = c
     if not dec.pendant_roots:
-        log.note(f"bare cycle of length {nc}")
+        log.append(f"bare cycle of length {nc}")
         return Coloring(tuple(colors))
 
     for i, a in enumerate(ring):
@@ -218,23 +210,23 @@ def color_unicyclic(g: Graph, log: Optional[ProvenanceLog] = None) -> Coloring:
                 for r in roots[:-1]:
                     colors[r] = 1
                 colors[roots[-1]] = 2
-                log.note(f"five-cycle anchor {a}: even pendant set split {len(roots) - 1}+1")
+                log.append(f"five-cycle anchor {a}: even pendant set split {len(roots) - 1}+1")
             else:
                 for r in roots:
                     colors[r] = 1
-                log.note(f"five-cycle anchor {a}: odd pendant set monochromatic")
+                log.append(f"five-cycle anchor {a}: odd pendant set monochromatic")
         else:
             succ = ring[(i + 1) % nc]
             pred = ring[i - 1]
             if len(roots) % 2 == 0:
                 for r in roots:
                     colors[r] = colors[succ]
-                log.note(f"cycle vertex {a}: even pendant set copies a cycle neighbor")
+                log.append(f"cycle vertex {a}: even pendant set copies a cycle neighbor")
             else:
                 fourth = min({0, 1, 2, 3} - {colors[a], colors[succ], colors[pred]})
                 for r in roots:
                     colors[r] = fourth
-                log.note(f"cycle vertex {a}: odd pendant set in a fresh color")
+                log.append(f"cycle vertex {a}: odd pendant set in a fresh color")
 
     # Pendant trees: the palette of a tree is 0..3 without the color of
     # its cycle vertex.  An even set of root children splits into two odd
@@ -316,37 +308,25 @@ def compose_lexicographic(
 def color_direct_complete(p: int, q: int) -> Coloring:
     """Optimal strong odd coloring of the direct product of K_p and K_q.
 
-    Both factors odd: rainbow.  Exactly one even: the odd side's index is
-    copied across it (rows or columns monochromatic).  Both even: the
-    smaller side's index.
+    Both factors odd: rainbow.  Otherwise, when q is even and p is odd or
+    at most q, vertex (a, b) takes a: its neighborhood meets each other
+    column in q - 1 vertices, an odd number.  Else it takes b, likewise.
     """
     if p < 2 or q < 2:
         raise ConstructionError("factors must have at least two vertices")
-    if p % 2 == 1 and q % 2 == 1:
+    if p % 2 and q % 2:
         return Coloring(tuple(range(p * q)))
-    if p % 2 == 0 and q % 2 == 1:
-        return Coloring(tuple(h for _ in range(p) for h in range(q)))
-    if p % 2 == 1 and q % 2 == 0:
+    if q % 2 == 0 and (p % 2 or p <= q):
         return Coloring(tuple(a for a in range(p) for _ in range(q)))
-    if p <= q:
-        return Coloring(tuple(a for a in range(p) for _ in range(q)))
-    return Coloring(tuple(h for _ in range(p) for h in range(q)))
-
-
-_GRID5 = (
-    (0, 1, 2, 3, 4),
-    (3, 4, 0, 1, 2),
-    (1, 2, 3, 4, 0),
-    (4, 0, 1, 2, 3),
-    (2, 3, 4, 0, 1),
-)
+    return Coloring(tuple(b for _ in range(p) for b in range(q)))
 
 
 def c5_box_c5_table() -> Coloring:
-    """The fixed 5-color assignment on the Cartesian square of a
-    five-cycle (vertex (i, j) is id 5*i + j); every closed neighborhood
-    holds each color exactly once."""
-    return Coloring(tuple(_GRID5[i][j] for i in range(5) for j in range(5)))
+    """The published 5-color assignment on the Cartesian square of a
+    five-cycle, in closed form: vertex (i, j), id 5*i + j, takes
+    (3*i + j) mod 5.  The closed neighborhood of (i, j) takes that color
+    plus 0, +-1 and +-3, so it holds each color exactly once."""
+    return Coloring(tuple((3 * i + j) % 5 for i in range(5) for j in range(5)))
 
 
 def nordhaus_gaddum(k: int, which: str) -> tuple[Graph, Coloring, Coloring]:

@@ -20,10 +20,6 @@ class GraphError(ValueError):
     """Raised for malformed graph data (bad endpoints, loops, duplicates)."""
 
 
-def _normalize(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """A finite loopless undirected simple graph on vertices 0..n-1."""
@@ -84,7 +80,7 @@ class Graph:
         return max((len(a) for a in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize(u, v) in self.edges
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     @property
     def m(self) -> int:
@@ -144,7 +140,7 @@ def make_path(n: int) -> Graph:
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least three vertices")
-    return Graph(n, frozenset(_normalize(i, (i + 1) % n) for i in range(n)))
+    return Graph(n, frozenset((i, i + 1) if i < n - 1 else (0, i) for i in range(n)))
 
 
 def make_complete(n: int) -> Graph:
@@ -176,6 +172,8 @@ def make_complete_bipartite(m: int, n: int) -> Graph:
 
 def make_star(leaves: int) -> Graph:
     """Star K_{1,leaves} with the center at vertex 0."""
+    if leaves < 1:
+        raise GraphError("star needs at least one leaf")
     return make_complete_bipartite(1, leaves)
 
 
@@ -222,7 +220,8 @@ def product(g: Graph, h: Graph, kind: str) -> Graph:
 
     Vertex (a, b) of the product is the id a * h.n + b, so rows (fixed
     second coordinate) and columns (fixed first coordinate) can be
-    recovered from ids.
+    recovered from ids.  Ids order pairs by a first, and factor edges
+    are (min, max) pairs, so every edge is built already normalized.
     """
     if kind not in PRODUCT_KINDS:
         raise GraphError(f"unknown product kind {kind!r}")
@@ -230,30 +229,18 @@ def product(g: Graph, h: Graph, kind: str) -> Graph:
         raise GraphError("product factors must be nonempty")
     nh = h.n
     edges = set()
-
-    def vid(a, b):
-        return a * nh + b
-
-    if kind in ("cartesian", "strong"):
-        for a in range(g.n):
-            for x, y in h.edges:
-                edges.add(_normalize(vid(a, x), vid(a, y)))
-        for x, y in g.edges:
-            for b in range(nh):
-                edges.add(_normalize(vid(x, b), vid(y, b)))
-    if kind in ("direct", "strong"):
-        for x, y in g.edges:
+    if kind != "direct":  # a copy of h on each column
+        edges.update((a + x, a + y) for a in range(0, g.n * nh, nh) for x, y in h.edges)
+    for x, y in g.edges:
+        x, y = x * nh, y * nh
+        if kind == "lexicographic":
+            edges.update((x + a, y + b) for a in range(nh) for b in range(nh))
+        if kind in ("cartesian", "strong"):
+            edges.update((x + b, y + b) for b in range(nh))
+        if kind in ("direct", "strong"):
             for a, b in h.edges:
-                edges.add(_normalize(vid(x, a), vid(y, b)))
-                edges.add(_normalize(vid(x, b), vid(y, a)))
-    if kind == "lexicographic":
-        for x, y in g.edges:
-            for a in range(nh):
-                for b in range(nh):
-                    edges.add(_normalize(vid(x, a), vid(y, b)))
-        for a in range(g.n):
-            for x, y in h.edges:
-                edges.add(_normalize(vid(a, x), vid(a, y)))
+                edges.add((x + a, y + b))
+                edges.add((x + b, y + a))
     return Graph(g.n * nh, frozenset(edges))
 
 
@@ -278,10 +265,15 @@ def from_json_dict(data: dict) -> Graph:
     return Graph.from_edges(n, raw)
 
 
-def save_json(g: Graph, path) -> None:
+def _write_json(path, data) -> None:
+    """data as one JSON line, for save_json, save_map and corpus --out."""
     with open(path, "w") as fh:
-        json.dump(to_json_dict(g), fh)
+        json.dump(data, fh)
         fh.write("\n")
+
+
+def save_json(g: Graph, path) -> None:
+    _write_json(path, to_json_dict(g))
 
 
 def _read_json(path, error: type[ValueError]):

@@ -19,7 +19,6 @@ by construction and skip it (_trusted_map).
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .colorings import Coloring, color_counts, is_proper, is_strong_odd
-from .graphs import Graph, _read_json
+from .graphs import Graph, _read_json, _write_json
 from .solver import Budget, SolveResult, solve_parity_system
 
 
@@ -134,7 +133,7 @@ class PlaneMultigraph:
         # each component, and components and regions are linked as a tree
         orbits, comp_of, regions = self._orbits, self._component_of, self.regions
         if regions is not None:
-            region_of = {d: i for i, (darts, _) in enumerate(regions) for d in darts}
+            region_of, iso_region, _ = self._region_index
             succ = self._succ
             if any(region_of[d] != region_of[succ[d]] for d in range(len(tail))):
                 raise MapError("every region must be a union of face orbits")
@@ -152,7 +151,7 @@ class PlaneMultigraph:
             # a component bounds a face by one orbit, or by itself when
             # it is an isolated vertex
             links = [(comp_of[tail[cyc[0]]], region_of[cyc[0]]) for cyc in orbits]
-            links += [(comp_of[v], i) for i, (_, iso) in enumerate(regions) for v in iso]
+            links += [(comp_of[v], r) for v, r in iso_region.items()]
             parent = list(range(ncomp + len(regions)))
             if len(links) != len(parent) - 1:
                 raise MapError("regions do not describe a plane embedding")
@@ -210,6 +209,20 @@ class PlaneMultigraph:
                         stack.append(y)
             ci += 1
         return comp_of
+
+    @cached_property
+    def _region_index(self) -> tuple[list[int], dict[int, int], int]:
+        """Each dart's index in effective_regions(), each isolated
+        vertex's, and the number of regions; built once per map, for
+        the plane check, annihilation, Claim 1 and Claim 2's bridges."""
+        regions = self.effective_regions()
+        region_of = [0] * len(self._tail)
+        iso_region = {}
+        for r, (darts, iso) in enumerate(regions):
+            for d in darts:
+                region_of[d] = r
+            iso_region.update(dict.fromkeys(iso, r))
+        return region_of, iso_region, len(regions)
 
     def vertex_of(self, d: int) -> int:
         return self._tail[d]
@@ -398,9 +411,7 @@ def map_from_json_dict(data: dict) -> PlaneMultigraph:
 
 
 def save_map(m: PlaneMultigraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(map_to_json_dict(m), fh)
-        fh.write("\n")
+    _write_json(path, map_to_json_dict(m))
 
 
 def load_map(path) -> PlaneMultigraph:
@@ -538,22 +549,8 @@ class _MapBuilder:
 # Annihilation, and the carve that Claim 1 shares with it
 # ---------------------------------------------------------------------------
 
-def _region_index(m: PlaneMultigraph) -> tuple[list[int], dict[int, int], int]:
-    """Each dart's index in m.effective_regions(), each isolated
-    vertex's, and the number of regions."""
-    regions = m.effective_regions()
-    region_of = [0] * len(m._tail)
-    iso_region = {}
-    for r, (darts, iso) in enumerate(regions):
-        for d in darts:
-            region_of[d] = r
-        iso_region.update(dict.fromkeys(iso, r))
-    return region_of, iso_region, len(regions)
-
-
 def _carve(m: PlaneMultigraph, keep: Sequence[int],
            outside: Iterable[tuple[int, Sequence[int]]], survivors: Sequence[int],
-           index: tuple[list[int], dict[int, int], int],
            joins: Iterable[tuple[int, int]]) -> PlaneMultigraph:
     """The map on the ascending vertex list keep that is left when every
     edge of m with no end in keep is deleted, and then each outside
@@ -563,8 +560,8 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
     outside lists those vertices in ascending order, each with its darts
     into keep in rotation order from its first one, whose heads must be
     distinct; survivors lists the edges with both ends in keep, in m's
-    order; index is _region_index(m); and joins lists, for each deleted
-    edge, the regions on its two sides.
+    order; and joins lists, for each deleted edge, the indices in
+    m._region_index of the regions on its two sides.
 
     The map is built from the darts at keep alone.  Faces merge exactly
     across the deleted edges, so a union-find over m's regions, joined
@@ -591,7 +588,7 @@ def _carve(m: PlaneMultigraph, keep: Sequence[int],
     or through m's own labels.  So it is plane, as m is, and is built
     unchecked by _trusted_map.
     """
-    region_of, iso_region, count = index
+    region_of, iso_region, count = m._region_index
     parent = list(range(count))
     for r1, r2 in joins:
         parent[_find(parent, r1)] = _find(parent, r2)
@@ -655,7 +652,7 @@ def annihilate(m: PlaneMultigraph, v: int) -> PlaneMultigraph:
         )
     keep = [u for u in range(m.n) if u != v]
     survivors = [e for e in range(m.m) if tail[2 * e] != v and tail[2 * e + 1] != v]
-    return _carve(m, keep, [(v, rv)], survivors, _region_index(m), ())
+    return _carve(m, keep, [(v, rv)], survivors, ())
 
 
 def annihilation_report(
@@ -739,8 +736,7 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
     if is_proper(g, phi):
         raise MapError("decomposition requires a proper coloring")
     colors, tail = phi.colors, m._tail
-    index = _region_index(m)
-    region_of = index[0]
+    region_of = m._region_index[0]
     # the edges that join two regions, with their ends' colors
     joins = [(colors[u], colors[v], region_of[2 * e], region_of[2 * e + 1])
              for e, (u, v) in enumerate(m.edges)
@@ -762,7 +758,7 @@ def decompose_claim1(m: PlaneMultigraph, phi: Coloring) -> list[PlaneMultigraph]
         if not cls:
             pieces.append(_EMPTY_MAP)
             continue
-        piece = _carve(m, cls, outside[i], (), index,
+        piece = _carve(m, cls, outside[i], (),
                        [(r1, r2) for cu, cv, r1, r2 in joins if cu != i and cv != i])
         face_sets = set(piece.face_vertex_sets())
         pos = {v: j for j, v in enumerate(cls)}
@@ -928,7 +924,7 @@ def _region_pieces(m: PlaneMultigraph) -> list[list[tuple[int, int, Optional[int
     """The boundary pieces of each region of m, as (sort key, anchor
     vertex, the anchor's smallest dart in the piece, None for an
     isolated vertex), in the bridging order of augment_claim2."""
-    region_of, iso_region, count = _region_index(m)
+    region_of, iso_region, count = m._region_index
     tail = m._tail
     pieces = [[] for _ in range(count)]
     for cyc in m._orbits:  # each starts at its smallest dart
@@ -1132,9 +1128,3 @@ def strong_odd_via_planar_detailed(
     if bad:
         raise AssertionError(f"pipeline produced an invalid coloring: {bad[0]}")
     return PipelineResult(coloring, tuple(orders), tuple(counts), tuple(pfo), nodes)
-
-
-def strong_odd_via_planar(
-    m: PlaneMultigraph, phi: Coloring, budget: Optional[Budget] = None
-) -> Coloring:
-    return strong_odd_via_planar_detailed(m, phi, budget).coloring

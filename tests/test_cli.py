@@ -10,7 +10,8 @@ import strongodd
 from strongodd.cli import main
 from strongodd.colorings import coloring_to_json_dict
 from strongodd.constructive import color_cycle
-from strongodd.graphs import make_cycle, save_json, to_json_dict
+from strongodd.graphs import (
+    Graph, make_complete, make_cycle, make_path, make_star, save_json, to_json_dict)
 from strongodd.planemaps import embed_cycle, map_to_json_dict, save_map
 from strongodd.randgen import random_graph
 
@@ -138,6 +139,63 @@ def test_color_methods(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["colors"]) == 9 and len(data["complement_colors"]) == 9
+
+
+_PROVENANCE_GRAPHS = {
+    "p3": make_path(3),
+    "star4": make_star(4),
+    "c7": make_cycle(7),
+    # a five-cycle with two pendants at 0, and with one at 2
+    "c5a": Graph(7, make_cycle(5).edges | {(0, 5), (0, 6)}),
+    "c5b": Graph(6, make_cycle(5).edges | {(2, 5)}),
+    # a six-cycle with one pendant at 1 and two at 3
+    "c6": Graph(9, make_cycle(6).edges | {(1, 6), (3, 7), (3, 8)}),
+    "k2": make_complete(2),
+    "k3": make_complete(3),
+}
+
+
+@pytest.mark.parametrize("argv, provenance", [
+    (["--method", "tree", "--graph", "{p3}"],
+     ["root 0: odd degree, monochromatic neighborhood"]),
+    (["--method", "tree", "--graph", "{star4}"],
+     ["root 0: even degree, one neighbor recolored"]),
+    (["--method", "unicyclic", "--graph", "{c7}"], ["bare cycle of length 7"]),
+    (["--method", "unicyclic", "--graph", "{c5a}"],
+     ["five-cycle anchor 0: even pendant set split 1+1"]),
+    (["--method", "unicyclic", "--graph", "{c5b}"],
+     ["five-cycle anchor 2: odd pendant set monochromatic"]),
+    (["--method", "unicyclic", "--graph", "{c6}"],
+     ["cycle vertex 1: odd pendant set in a fresh color",
+      "cycle vertex 3: even pendant set copies a cycle neighbor"]),
+    (["--method", "cycle", "--n", "5"], ["cycle 5: 5 colors"]),
+    (["--method", "cycle", "--n", "1001"], ["cycle 1001: 4 colors"]),
+    (["--method", "c5box"], ["fixed 5-color grid assignment"]),
+    (["--method", "direct-complete", "--p", "4", "--q", "3"],
+     ["direct product of complete graphs on 4 and 3"]),
+    (["--method", "ng", "--k", "1", "--which", "H2"],
+     ["complementary-pair construction H2 at k=1"]),
+    (["--method", "product", "--kind", "strong", "--left", "{k2}", "--right", "{k3}"],
+     ["composed optimal factor colorings for the strong product"]),
+    (["--method", "product", "--kind", "lexicographic", "--left", "{k3}", "--right", "{k2}"],
+     ["composed optimal factor colorings for the lexicographic product"]),
+])
+def test_color_provenance_lines_are_pinned(tmp_path, capsys, argv, provenance):
+    paths = {}
+    for name, g in _PROVENANCE_GRAPHS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_json(g, paths[name])
+    code, out = run(capsys, "color", *[a.format(**paths) for a in argv])
+    assert code == 0
+    assert json.loads(out)["provenance"] == provenance
+
+
+def test_save_json_and_save_map_write_one_json_line(tmp_path):
+    g, m = make_cycle(5), embed_cycle(4)
+    save_json(g, tmp_path / "g.json")
+    save_map(m, tmp_path / "m.json")
+    assert (tmp_path / "g.json").read_text() == json.dumps(to_json_dict(g)) + "\n"
+    assert (tmp_path / "m.json").read_text() == json.dumps(map_to_json_dict(m)) + "\n"
 
 
 def test_color_product_exits_1_when_a_factor_solve_gives_up(tmp_path, capsys):
@@ -384,6 +442,31 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main([a.format(g=gpath) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "--family", "tree", "--size", "1"], "--size must be at least 2 for --family tree"),
+    (["corpus", "--family", "unicyclic", "--size", "2"],
+     "--size must be at least 3 for --family unicyclic"),
+    (["corpus", "--family", "planar_embedded", "--size", "3"],
+     "--size must be at least 4 for --family planar_embedded"),
+    (["corpus", "--family", "general", "--size", "0"],
+     "--size must be at least 1 for --family general"),
+    (["corpus", "--family", "tree", "--count", "-1"], "--count must be at least 0"),
+    (["gen", "--family", "complete-bipartite", "--parts", "3"],
+     "--parts must be 2 positive sizes, separated by commas"),
+    (["gen", "--family", "complete-bipartite", "--parts", "2,x"],
+     "--parts must be 2 positive sizes, separated by commas"),
+    (["gen", "--family", "complete-multipartite", "--parts", ""],
+     "--parts must be 1 or more positive sizes, separated by commas"),
+    (["gen", "--family", "complete-multipartite", "--parts", "2,0"],
+     "--parts must be 1 or more positive sizes, separated by commas"),
+    (["gen", "--family", "star", "--n", "0"], "star needs at least one leaf"),
+])
+def test_usage_errors_name_the_flag(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_gallery_out_of_budget_fails_without_a_traceback(capsys):

@@ -308,6 +308,41 @@ def test_c5_grid_table():
         assert all(c == 1 for c in hist.values())
 
 
+def test_direct_complete_follows_the_case_table():
+    # the five cases of the published construction, 2 <= p, q <= 9
+    def expected(p, q):
+        if p % 2 and q % 2:
+            return tuple(range(p * q))  # rainbow
+        column = tuple(a for a in range(p) for _ in range(q))
+        row = tuple(b for _ in range(p) for b in range(q))
+        if p % 2 == 0 and q % 2:
+            return row
+        if p % 2 and q % 2 == 0:
+            return column
+        return column if p <= q else row
+
+    for p in range(2, 10):
+        for q in range(2, 10):
+            phi = color_direct_complete(p, q)
+            assert phi.colors == expected(p, q), (p, q)
+            assert is_strong_odd(product(make_complete(p), make_complete(q), "direct"), phi) == []
+
+
+# the published 5-color table of the Cartesian square of a five-cycle,
+# row i holding the colors of vertices (i, 0..4)
+_GRID5 = (
+    (0, 1, 2, 3, 4),
+    (3, 4, 0, 1, 2),
+    (1, 2, 3, 4, 0),
+    (4, 0, 1, 2, 3),
+    (2, 3, 4, 0, 1),
+)
+
+
+def test_c5_grid_table_is_the_published_table():
+    assert c5_box_c5_table().colors == tuple(c for row in _GRID5 for c in row)
+
+
 def _all_strong_odd_colorings(g):
     """Exhaustive canonical enumeration (properness-pruned restricted
     growth), independent of the search engine."""

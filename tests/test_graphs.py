@@ -111,6 +111,28 @@ def test_strong_is_disjoint_union_of_cartesian_and_direct():
         assert not (cart & direct)
 
 
+def test_products_match_their_adjacency_rules():
+    # (a, b) ~ (x, y) by each product's rule, over every pair of ids
+    rules = {
+        "cartesian": lambda ag, bh, same_a, same_b: (same_a and bh) or (same_b and ag),
+        "direct": lambda ag, bh, same_a, same_b: ag and bh,
+        "strong": lambda ag, bh, same_a, same_b: (same_a or ag) and (same_b or bh),
+        "lexicographic": lambda ag, bh, same_a, same_b: ag or (same_a and bh),
+    }
+    rng = random.Random(30)
+    factors = [random_graph(rng.randint(1, 5), rng.random(), rng) for _ in range(30)]
+    assert {f.n for f in factors} == {1, 2, 3, 4, 5} and any(f.m == 0 for f in factors)
+    for g, h in zip(factors, factors[1:] + factors[:1]):
+        for kind, rule in rules.items():
+            expected = {
+                (u, v) for u in range(g.n * h.n) for v in range(u + 1, g.n * h.n)
+                if rule(g.has_edge(u // h.n, v // h.n), h.has_edge(u % h.n, v % h.n),
+                        u // h.n == v // h.n, u % h.n == v % h.n)
+            }
+            p = product(g, h, kind)
+            assert (p.n, p.edges) == (g.n * h.n, expected), (kind, g, h)
+
+
 def test_lexicographic_complete_products_are_complete():
     for p, q in [(2, 3), (3, 2), (2, 2), (3, 3)]:
         g = product(make_complete(p), make_complete(q), "lexicographic")
