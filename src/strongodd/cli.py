@@ -70,20 +70,51 @@ def _is_flat(val):
     return False
 
 
+# The most vertices plus edges that a command builds from its size flags
+# (a coloring alone counts its vertices): ten times the largest size in
+# the README, tests and CI, gen --family path --n 50000.  K_450, at a
+# tenth of it, takes about 0.7 s and 62 MB.
+MAX_SIZE = 1_000_000
+
+
+def _check_size(flags: str, size: int) -> None:
+    """Refuse more than MAX_SIZE before anything is built.  Callers size
+    a negative flag as 0, so that its builder refuses it."""
+    if size > MAX_SIZE:
+        raise ValueError(f"{flags} too large: {size:,} vertices and edges, "
+                         f"above the limit of {MAX_SIZE:,}")
+
+
+def _product_size(g, h, kind: str) -> int:
+    cartesian, direct = g.n * h.m + g.m * h.n, 2 * g.m * h.m
+    return g.n * h.n + {"cartesian": cartesian, "direct": direct, "strong": cartesian + direct,
+                        "lexicographic": g.n * h.m + g.m * h.n * h.n}[kind]
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
+# family -> (builder, vertices plus edges) for the families sized by --n
+_GEN_BY_N = {
+    "path": (make_path, lambda n: 2 * n - 1),
+    "cycle": (make_cycle, lambda n: 2 * n),
+    "complete": (make_complete, lambda n: n + n * (n - 1) // 2),
+    "star": (make_star, lambda n: 2 * n + 1),
+}
+
+
 def cmd_gen(args) -> int:
-    if args.family == "path":
-        g = make_path(args.n)
-    elif args.family == "cycle":
-        g = make_cycle(args.n)
-    elif args.family == "complete":
-        g = make_complete(args.n)
-    elif args.family == "star":
-        g = make_star(args.n)
-    elif args.family in ("complete-bipartite", "complete-multipartite"):
+    if args.family == "gallery":
+        try:
+            g = gallery_entry(args.name).graph
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+    elif args.family in _GEN_BY_N:
+        build, size = _GEN_BY_N[args.family]
+        _check_size("--n", size(max(args.n, 0)))
+        g = build(args.n)
+    else:  # complete-bipartite or complete-multipartite
         need = "2" if args.family == "complete-bipartite" else "1 or more"
         try:
             parts = [int(x) for x in args.parts.split(",")]
@@ -91,14 +122,9 @@ def cmd_gen(args) -> int:
             parts = [0]
         if min(parts) < 1 or (need == "2" and len(parts) != 2):
             raise ValueError(f"--parts must be {need} positive sizes, separated by commas")
+        n = sum(parts)
+        _check_size("--parts", n + (n * n - sum(p * p for p in parts)) // 2)
         g = make_complete_multipartite(parts)
-    elif args.family == "gallery":
-        try:
-            g = gallery_entry(args.name).graph
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-    else:
-        raise SystemExit(f"unknown family {args.family}")
     _emit(to_json_dict(g), args.format)
     return 0
 
@@ -196,6 +222,7 @@ def cmd_color(args) -> int:
         g = load_json(args.graph)
         phi = constructive.color_tree(g, log)
     elif args.method == "cycle":
+        _check_size("--n", args.n)
         phi = constructive.color_cycle(args.n, log)
     elif args.method == "unicyclic":
         g = load_json(args.graph)
@@ -204,11 +231,13 @@ def cmd_color(args) -> int:
         phi = constructive.c5_box_c5_table()
         log.append("fixed 5-color grid assignment")
     elif args.method == "direct-complete":
+        _check_size("--p and --q", max(args.p, 0) * max(args.q, 0))
         phi = constructive.color_direct_complete(args.p, args.q)
         log.append(f"direct product of complete graphs on {args.p} and {args.q}")
     elif args.method == "product":
         left = load_json(args.left)
         right = load_json(args.right)
+        _check_size("--left and --right", _product_size(left, right, args.kind))
         phi_l = _optimal_factor_coloring("left", left, args.budget)
         if phi_l is None:
             return 1
@@ -228,13 +257,13 @@ def cmd_color(args) -> int:
             )
         log.append(f"composed optimal factor colorings for the {args.kind} product")
         out["graph"] = to_json_dict(product(left, right, args.kind))
-    elif args.method == "ng":
+    else:  # ng
+        m = 2 * max(args.k, 0) + 1  # H1 is m copies of K_m, H2 is K_m box K_m
+        _check_size("--k", m * m + m * m * (m - 1) // (2 if args.which == "H1" else 1))
         g, phi, phi_c = constructive.nordhaus_gaddum(args.k, args.which)
         log.append(f"complementary-pair construction {args.which} at k={args.k}")
         out["graph"] = to_json_dict(g)
         out["complement_colors"] = list(phi_c.colors)
-    else:
-        raise SystemExit(f"unknown method {args.method}")
     out.update(coloring_to_json_dict(phi))
     out["provenance"] = log
     _emit(out, args.format)
@@ -248,6 +277,7 @@ def cmd_color(args) -> int:
 def cmd_product(args) -> int:
     g = load_json(args.left)
     h = load_json(args.right)
+    _check_size("--left and --right", _product_size(g, h, args.kind))
     _emit(to_json_dict(product(g, h, args.kind)), args.format)
     return 0
 
@@ -278,7 +308,7 @@ def cmd_plane(args) -> int:
         ]
     elif args.action == "claim2":
         out = planemaps.map_to_json_dict(planemaps.augment_claim2(m))
-    elif args.action == "pipeline":
+    else:  # pipeline
         phi = load_coloring(args.coloring)
         res = planemaps.strong_odd_via_planar_detailed(m, phi, args.budget)
         out = {
@@ -286,8 +316,6 @@ def cmd_plane(args) -> int:
             "piece_orders": list(res.piece_orders),
             "piece_color_counts": list(res.piece_color_counts),
         }
-    else:
-        raise SystemExit(f"unknown plane action {args.action}")
     _emit(out, args.format)
     return 0
 
@@ -509,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["tree", "unicyclic", "planar_embedded", "general"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--size", type=int, default=40)
+    p.add_argument("--size", type=int, default=40,
+                   help="largest order drawn; general stops at 8 and planar_embedded at 14")
     p.add_argument("--out", default=None)
     add_fmt(p)
     p.set_defaults(func=cmd_corpus)

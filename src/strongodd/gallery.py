@@ -2,9 +2,11 @@
 
 The two 12-vertex planar graphs are fixed by a list of adjacency facts
 (edges, non-edges, two exact neighborhoods, order and diameter) strong
-enough to determine them up to the last few pairs at vertex 12; the
-shipped edge sets are the unique minimal planar completions (see
-scripts/derive_extremal_graphs.py, which rederives and certifies them).
+enough to determine them up to the last few pairs at vertex 12.  Each
+planar entry is stored once, as a clockwise rotation system, and its
+graph is the embedding's underlying graph; for the two 12-vertex graphs
+that graph is the unique minimal planar completion (see
+scripts/derive_extremal_graphs.py, which rederives and certifies it).
 Vertex names v1..v12 in the notes refer to ids 0..11.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, join, make_complete, make_cycle, make_path, product
+from .graphs import Graph, make_cycle, product
 from .planemaps import PlaneMultigraph, from_neighbor_rotations
 
 
@@ -42,18 +44,6 @@ def _non_edges(pairs, note=""):
 
 
 # -- first 12-vertex graph ---------------------------------------------------
-
-G12A_EDGES = (
-    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-    (1, 2), (1, 5), (1, 6),
-    (2, 3), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9),
-    (3, 4),
-    (4, 5), (4, 8), (4, 9), (4, 10), (4, 11),
-    (5, 6), (5, 11),
-    (6, 7), (6, 8), (6, 10), (6, 11),
-    (7, 8),
-    (8, 9), (8, 10),
-)
 
 G12A_ROTATION = (
     (1, 5, 4, 3, 2),
@@ -107,17 +97,6 @@ G12A_CONSTRAINTS = tuple(
 )
 
 # -- second 12-vertex graph --------------------------------------------------
-
-G12B_EDGES = (
-    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-    (1, 2), (1, 5), (1, 10),
-    (2, 3), (2, 6), (2, 7), (2, 9), (2, 10),
-    (3, 4), (3, 6), (3, 7),
-    (4, 5), (4, 6),
-    (5, 6), (5, 8), (5, 10), (5, 11),
-    (6, 7), (6, 8), (6, 9), (6, 11),
-    (8, 9), (8, 11),
-)
 
 G12B_ROTATION = (
     (1, 5, 4, 3, 2),
@@ -173,7 +152,7 @@ G12B_CONSTRAINTS = tuple(
 
 
 def _g7():
-    g = join(make_complete(1), make_path(6))
+    # the apex 0 joined to the path 1..6
     rot = ((1, 6, 5, 4, 3, 2), (0, 2), (1, 0, 3), (2, 0, 4), (3, 0, 5), (4, 0, 6), (5, 0))
     emb = from_neighbor_rotations(rot)
     cons = (
@@ -183,13 +162,12 @@ def _g7():
         Constraint("degree", (1, 2), "path end"),
         Constraint("degree", (6, 2), "path end"),
     ) + tuple(Constraint("edge", (i, i + 1), "path edge") for i in range(1, 6))
-    return GalleryEntry("G7", g, emb, {"chi_so": 7}, cons)
+    return GalleryEntry("G7", emb.underlying, emb, {"chi_so": 7}, cons)
 
 
-def _g12(name, edges, rotation, constraints):
-    g = Graph.from_edges(12, edges)
+def _g12(name, rotation, constraints):
     emb = from_neighbor_rotations(rotation)
-    return GalleryEntry(name, g, emb, {"chi_so": 12}, constraints)
+    return GalleryEntry(name, emb.underlying, emb, {"chi_so": 12}, constraints)
 
 
 def _c5box():
@@ -202,8 +180,8 @@ def _c5box():
 
 
 _BUILDERS = {
-    "G12a": lambda: _g12("G12a", G12A_EDGES, G12A_ROTATION, G12A_CONSTRAINTS),
-    "G12b": lambda: _g12("G12b", G12B_EDGES, G12B_ROTATION, G12B_CONSTRAINTS),
+    "G12a": lambda: _g12("G12a", G12A_ROTATION, G12A_CONSTRAINTS),
+    "G12b": lambda: _g12("G12b", G12B_ROTATION, G12B_CONSTRAINTS),
     "G7": _g7,
     "C5boxC5": _c5box,
 }

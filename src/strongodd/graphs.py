@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 PRODUCT_KINDS = ("cartesian", "direct", "strong", "lexicographic")
@@ -59,11 +59,7 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge {(u, v)}")
             seen.add((u, v))
-        # every edge is checked above, so __post_init__'s pass is skipped
-        g = object.__new__(Graph)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", frozenset(seen))
-        return g
+        return _trusted_graph(n, frozenset(seen))
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -127,6 +123,15 @@ class Graph:
         return best
 
 
+def _trusted_graph(n: int, edges: frozenset[tuple[int, int]]) -> Graph:
+    """A Graph built without __post_init__'s checks, the twin of
+    planemaps._trusted_map: only for edges that Graph.from_edges has
+    checked or that a builder below makes with 0 <= u < v < n."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, edges=edges)
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -134,36 +139,29 @@ class Graph:
 def make_path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least one vertex")
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return _trusted_graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least three vertices")
-    return Graph(n, frozenset((i, i + 1) if i < n - 1 else (0, i) for i in range(n)))
+    return _trusted_graph(n, frozenset((i, i + 1) if i < n - 1 else (0, i) for i in range(n)))
 
 
 def make_complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs at least one vertex")
-    return Graph(n, frozenset(combinations(range(n), 2)))
+    return _trusted_graph(n, frozenset(combinations(range(n), 2)))
 
 
 def make_complete_multipartite(parts: Sequence[int]) -> Graph:
     """Complete multipartite graph; part i occupies a contiguous id block."""
     if not parts or any(p < 1 for p in parts):
         raise GraphError("parts must be a nonempty list of positive sizes")
-    bounds = [0]
-    for p in parts:
-        bounds.append(bounds[-1] + p)
-    n = bounds[-1]
-    edges = set()
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in range(bounds[i], bounds[i + 1]):
-                for v in range(bounds[j], bounds[j + 1]):
-                    edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    bounds = list(accumulate(parts, initial=0))
+    edges = {(u, v) for i, j in combinations(range(len(parts)), 2)
+             for u in range(bounds[i], bounds[i + 1]) for v in range(bounds[j], bounds[j + 1])}
+    return _trusted_graph(bounds[-1], frozenset(edges))
 
 
 def make_complete_bipartite(m: int, n: int) -> Graph:
@@ -189,19 +187,18 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         edges.update((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
-    return Graph(offset, frozenset(edges))
+    return _trusted_graph(offset, frozenset(edges))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides (g first)."""
-    base = disjoint_union(g, h)
     cross = {(u, g.n + v) for u in range(g.n) for v in range(h.n)}
-    return Graph(base.n, base.edges | frozenset(cross))
+    return _trusted_graph(g.n + h.n, disjoint_union(g, h).edges | frozenset(cross))
 
 
 def complement(g: Graph) -> Graph:
     all_pairs = frozenset(combinations(range(g.n), 2))
-    return Graph(g.n, all_pairs - g.edges)
+    return _trusted_graph(g.n, all_pairs - g.edges)
 
 
 def square(g: Graph) -> Graph:
@@ -212,7 +209,7 @@ def square(g: Graph) -> Graph:
             for b in g.adj[v]:
                 if a < b and not g.has_edge(a, b):
                     extra.add((a, b))
-    return Graph(g.n, g.edges | frozenset(extra))
+    return _trusted_graph(g.n, g.edges | frozenset(extra))
 
 
 def product(g: Graph, h: Graph, kind: str) -> Graph:
@@ -241,7 +238,7 @@ def product(g: Graph, h: Graph, kind: str) -> Graph:
             for a, b in h.edges:
                 edges.add((x + a, y + b))
                 edges.add((x + b, y + a))
-    return Graph(g.n * nh, frozenset(edges))
+    return _trusted_graph(g.n * nh, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ class PlaneMultigraph:
 
 def _trusted_map(n, edges, rotation, regions, labels) -> PlaneMultigraph:
     """A PlaneMultigraph built without its constructor's checks, as
-    Graph.from_edges builds a Graph: only for the maps of _carve and
+    graphs._trusted_graph builds a Graph: only for the maps of _carve and
     _MapBuilder.snapshot, plane by the arguments in their docstrings."""
     pm = object.__new__(PlaneMultigraph)
     pm.__dict__.update(n=n, edges=edges, rotation=rotation, regions=regions, labels=labels)

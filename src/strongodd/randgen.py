@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from .graphs import Graph
-from .planemaps import PlaneMultigraph, from_neighbor_rotations
+from .planemaps import PlaneMultigraph, _find, from_neighbor_rotations
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -66,14 +66,16 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 def random_triangulation(n: int, rng: random.Random) -> PlaneMultigraph:
     """Stacked triangulation: grow from a triangle by planting each new
     vertex inside a random triangular face, joined to its three corners."""
-    return from_neighbor_rotations(_triangulation_rotations(n, rng))
+    return from_neighbor_rotations(_triangulation_rotations(n, rng)[0])
 
 
-def _triangulation_rotations(n: int, rng: random.Random) -> list[list[int]]:
-    """The clockwise neighbor lists of random_triangulation(n, rng)."""
+def _triangulation_rotations(n: int, rng: random.Random) -> tuple[list, list]:
+    """The clockwise neighbor lists of random_triangulation(n, rng), and
+    its 2n - 4 faces as corner triples (a, b, c) in walk order: the face
+    holds the darts a->b, b->c and c->a, so the two darts of an edge name
+    the faces on its two sides."""
     if n < 3:
         raise ValueError("triangulation needs at least three vertices")
-    # clockwise neighbor lists and the current face triples (walk order)
     rot = [[2, 1], [0, 2], [1, 0]]
     faces = [(0, 1, 2), (0, 2, 1)]
     for w in range(3, n):
@@ -86,45 +88,36 @@ def _triangulation_rotations(n: int, rng: random.Random) -> list[list[int]]:
         rot[a].insert(rot[a].index(c) + 1, w)
         rot.append([a, c, b])
         faces.extend([(a, b, w), (b, c, w), (c, a, w)])
-    return rot
+    return rot, faces
 
 
 def random_planar_map(
     n: int, rng: random.Random, delete_fraction: float = 0.25
 ) -> PlaneMultigraph:
-    """Connected embedded planar graph: a stacked triangulation with a
-    random subset of non-bridge edges removed."""
-    nbrs = _triangulation_rotations(n, rng)
+    """Connected embedded planar graph: random_triangulation(n, rng) less
+    int(delete_fraction * m) edges, tried in a shuffled order.  An edge is
+    kept if it is a bridge of the map left so far, that is, if one face
+    lies on both its sides; removing any other edge merges its two faces,
+    so faces are classes of a union-find over the triangulation's faces
+    (Tarjan 1975).  A removal takes the edge out of both neighbor lists in
+    place: each rotation is the triangulation's less the deleted edges."""
+    nbrs, faces = _triangulation_rotations(n, rng)
     # the triangulation's edges in the order its map lists them
     edges = sorted((u, v) for u in range(n) for v in nbrs[u] if u < v)
     rng.shuffle(edges)
+    side = {}  # dart -> the face on its walk
+    for f, (a, b, c) in enumerate(faces):
+        side[a, b] = side[b, c] = side[c, a] = f
+    parent = list(range(len(faces)))
     target = int(delete_fraction * len(edges))
     removed = 0
     for u, v in edges:
         if removed >= target:
             break
-        if len(nbrs[u]) <= 1 or len(nbrs[v]) <= 1:
-            continue
-        nbrs[u].remove(v)
-        nbrs[v].remove(u)
-        if _reaches(nbrs, u, v):
+        f, g = _find(parent, side[u, v]), _find(parent, side[v, u])
+        if f != g:
+            parent[f] = g
+            nbrs[u].remove(v)
+            nbrs[v].remove(u)
             removed += 1
-        else:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    # removal by value keeps the cyclic order of the remaining neighbors
     return from_neighbor_rotations(nbrs)
-
-
-def _reaches(nbrs, u: int, v: int) -> bool:
-    """Breadth-first search from u that stops as soon as it meets v."""
-    seen = {u}
-    queue = [u]
-    for x in queue:  # the list is the queue: it grows while it is read
-        for y in nbrs[x]:
-            if y == v:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False

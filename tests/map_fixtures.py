@@ -2,7 +2,7 @@
 
 import random
 
-from strongodd.planemaps import embed_cycle, embed_path, embed_star, from_neighbor_rotations
+from strongodd.planemaps import embed_cycle, embed_star, from_neighbor_rotations
 from strongodd.randgen import random_triangulation
 
 OCTAHEDRON = [[2, 3, 4, 5], [2, 5, 4, 3], [0, 5, 1, 3], [1, 4, 0, 2],

@@ -20,7 +20,6 @@ from strongodd.constructive import (
 )
 from strongodd.gallery import gallery
 from strongodd.graphs import (
-    Graph,
     complement,
     join,
     make_complete,

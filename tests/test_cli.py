@@ -1,17 +1,19 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import strongodd
+from strongodd import cli
 from strongodd.cli import main
-from strongodd.colorings import coloring_to_json_dict
-from strongodd.constructive import color_cycle
+from strongodd.constructive import nordhaus_gaddum
 from strongodd.graphs import (
-    Graph, make_complete, make_cycle, make_path, make_star, save_json, to_json_dict)
+    PRODUCT_KINDS, Graph, make_complete, make_complete_multipartite, make_cycle, make_path,
+    make_star, product, save_json, to_json_dict)
 from strongodd.planemaps import embed_cycle, map_to_json_dict, save_map
 from strongodd.randgen import random_graph
 
@@ -467,6 +469,83 @@ def test_usage_errors_name_the_flag(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _limited(argv):
+    """Run the console entry point in a child capped at 1 GiB of address
+    space and 10 s, so a size check that fails cannot exhaust the host."""
+    cap = 1 << 30
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strongodd.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from strongodd.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+@pytest.mark.parametrize("argv, flags, size", [
+    (["color", "--method", "ng", "--k", "1000"], "--k", 4_008_005_001),
+    (["color", "--method", "ng", "--k", "1000", "--which", "H2"], "--k", 8_012_006_001),
+    (["color", "--method", "cycle", "--n", "1000001"], "--n", 1_000_001),
+    (["color", "--method", "direct-complete", "--p", "1001", "--q", "1000"], "--p and --q", 1_001_000),
+    (["gen", "--family", "complete", "--n", "100000"], "--n", 5_000_050_000),
+    (["gen", "--family", "path", "--n", "500001"], "--n", 1_000_001),
+    (["gen", "--family", "cycle", "--n", "500001"], "--n", 1_000_002),
+    (["gen", "--family", "star", "--n", "500000"], "--n", 1_000_001),
+    (["gen", "--family", "complete-multipartite", "--parts", "1000,1000,1000"], "--parts", 3_003_000),
+    (["gen", "--family", "complete-bipartite", "--parts", "1,1000000"], "--parts", 2_000_001),
+    (["product", "--kind", "cartesian", "--left", "{p}", "--right", "{k}"],
+     "--left and --right", 10_299_900),
+    (["color", "--method", "product", "--kind", "lexicographic", "--left", "{k}", "--right", "{p}"],
+     "--left and --right", 19_800_399_900),
+])
+def test_sizes_above_the_limit_exit_2_before_building(tmp_path, argv, flags, size):
+    save_json(make_path(2000), tmp_path / "p.json")
+    save_json(make_complete(100), tmp_path / "k.json")
+    proc = _limited([a.format(p=tmp_path / "p.json", k=tmp_path / "k.json") for a in argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {flags} too large: {size:,} vertices and edges, above the limit of 1,000,000\n")
+
+
+def test_the_size_limit_counts_exactly_what_is_built(tmp_path, capsys, monkeypatch):
+    # each command is refused with the limit one below its size, the
+    # vertices plus edges built (a coloring alone counts its vertices),
+    # and runs with the limit at its size
+    assert cli.MAX_SIZE >= 10 * (2 * 50_000 - 1)  # gen --family path --n 50000
+    left, right = make_cycle(5), Graph(3, frozenset({(0, 1)}))
+    save_json(left, tmp_path / "l.json")
+    save_json(right, tmp_path / "r.json")
+    files = ["--left", str(tmp_path / "l.json"), "--right", str(tmp_path / "r.json")]
+    cases = [
+        (["gen", "--family", "path", "--n", "7"], "--n", make_path(7)),
+        (["gen", "--family", "cycle", "--n", "7"], "--n", make_cycle(7)),
+        (["gen", "--family", "complete", "--n", "6"], "--n", make_complete(6)),
+        (["gen", "--family", "star", "--n", "5"], "--n", make_star(5)),
+        (["gen", "--family", "complete-multipartite", "--parts", "2,3,1"], "--parts",
+         make_complete_multipartite([2, 3, 1])),
+        (["gen", "--family", "complete-bipartite", "--parts", "2,4"], "--parts",
+         make_complete_multipartite([2, 4])),
+        (["color", "--method", "ng", "--k", "1"], "--k", nordhaus_gaddum(1, "H1")[0]),
+        (["color", "--method", "ng", "--k", "2", "--which", "H2"], "--k",
+         nordhaus_gaddum(2, "H2")[0]),
+        (["color", "--method", "cycle", "--n", "9"], "--n", Graph(9, frozenset())),
+        (["color", "--method", "direct-complete", "--p", "4", "--q", "3"], "--p and --q",
+         Graph(12, frozenset())),
+    ]
+    for kind in PRODUCT_KINDS:
+        cases.append((["product", "--kind", kind, *files], "--left and --right",
+                      product(left, right, kind)))
+        cases.append((["color", "--method", "product", "--kind", kind, *files],
+                      "--left and --right", product(left, right, kind)))
+    for argv, flags, g in cases:
+        size = g.n + g.m
+        monkeypatch.setattr(cli, "MAX_SIZE", size - 1)
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {flags} too large: {size:,} vertices and "
+                                           f"edges, above the limit of {size - 1:,}\n")
+        monkeypatch.setattr(cli, "MAX_SIZE", size)
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_gallery_out_of_budget_fails_without_a_traceback(capsys):

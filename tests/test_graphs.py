@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from strongodd.colorings import Coloring
 from strongodd.graphs import (
+    PRODUCT_KINDS,
     Graph,
     GraphError,
     complement,
@@ -131,6 +131,25 @@ def test_products_match_their_adjacency_rules():
             }
             p = product(g, h, kind)
             assert (p.n, p.edges) == (g.n * h.n, expected), (kind, g, h)
+
+
+def test_builders_make_graphs_that_the_constructor_accepts():
+    # the builders skip Graph's edge checks, so their outputs get them here
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_graph(rng.randint(0, 6), rng.random(), rng)
+        h = random_graph(rng.randint(1, 6), rng.random(), rng)
+        built = [
+            make_path(rng.randint(1, 9)), make_cycle(rng.randint(3, 9)),
+            make_complete(rng.randint(1, 7)),
+            make_complete_multipartite([rng.randint(1, 3) for _ in range(rng.randint(1, 4))]),
+            disjoint_union(g, h), join(g, h), complement(g), square(g),
+        ]
+        if g.n:
+            built += [product(g, h, kind) for kind in PRODUCT_KINDS]
+        for b in built:
+            assert type(b.edges) is frozenset
+            assert Graph(b.n, b.edges) == b
 
 
 def test_lexicographic_complete_products_are_complete():
