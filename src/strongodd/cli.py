@@ -56,6 +56,9 @@ def _print_table(obj, indent=""):
                 _print_table(val, indent + "  ")
             else:
                 print(f"{indent}{key}: {val}")
+    elif isinstance(obj, list) and all(map(_is_flat, obj)):  # one flat list per line
+        for item in obj:
+            print(f"{indent}{item}")
     elif isinstance(obj, list):
         for item in obj:
             _print_table(item, indent)

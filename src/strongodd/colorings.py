@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, _read_json
+from .graphs import Graph, _check_coloring_length, _read_json
 
 NOT_PROPER = "not_proper"
 EVEN_COLOR = "even_color_in_neighborhood"
@@ -53,11 +53,6 @@ class Violation(NamedTuple):
     count: Optional[int] = None
 
 
-def _check_length(g: Graph, phi: Coloring) -> None:
-    if len(phi) != g.n:
-        raise ValueError(f"coloring length {len(phi)} does not match n={g.n}")
-
-
 def color_counts(colors: Sequence[int], members: Iterable[int]) -> dict[int, int]:
     """How many of the member vertices carry each color."""
     counts: dict[int, int] = {}
@@ -69,7 +64,7 @@ def color_counts(colors: Sequence[int], members: Iterable[int]) -> dict[int, int
 
 def neighborhood_histogram(g: Graph, phi: Coloring, v: int) -> dict[int, int]:
     """Color counts over the open neighborhood of v."""
-    _check_length(g, phi)
+    _check_coloring_length(g, phi)
     return color_counts(phi.colors, g.adj[v])
 
 
@@ -90,14 +85,14 @@ def _proper_violations(colors: Sequence[int], same: dict[int, int]) -> list[Viol
 
 def is_proper(g: Graph, phi: Coloring) -> list[Violation]:
     """Empty iff no edge joins two vertices of the same color."""
-    _check_length(g, phi)
+    _check_coloring_length(g, phi)
     return _proper_violations(phi.colors, _same_colored(g, phi.colors))
 
 
 def is_strong_odd(g: Graph, phi: Coloring) -> list[Violation]:
     """Proper, and every color present in any open neighborhood has odd
     multiplicity there."""
-    _check_length(g, phi)
+    _check_coloring_length(g, phi)
     colors = phi.colors
     out, even = [], []
     for v, nbrs in enumerate(g.adj):
@@ -116,7 +111,7 @@ def is_strong_odd(g: Graph, phi: Coloring) -> list[Violation]:
 def is_odd(g: Graph, phi: Coloring) -> list[Violation]:
     """Proper, and every non-isolated vertex sees some color an odd
     number of times."""
-    _check_length(g, phi)
+    _check_coloring_length(g, phi)
     colors = phi.colors
     out, no_odd = [], []
     for v, nbrs in enumerate(g.adj):
@@ -146,7 +141,7 @@ def is_square_coloring(g: Graph, phi: Coloring) -> list[Violation]:
     distinct group and has no same-colored neighbor, its count is the
     group's size less one, with no set built.
     """
-    _check_length(g, phi)
+    _check_coloring_length(g, phi)
     colors = phi.colors
     same = _same_colored(g, colors)
     groups_of: dict[int, list[frozenset[int]]] = {}

@@ -4,9 +4,12 @@ Covers trees (2 or 3 colors), cycles, connected unicyclic graphs (at
 most 4 colors except the bare five-cycle), coloring compositions for the
 four graph products, optimal colorings of direct products of complete
 graphs, the five-color grid coloring of the five-cycle Cartesian square,
-and the complementary-pair witnesses.  The tree, cycle and unicyclic
-constructions append their case decisions to log, a plain list of
-strings, when one is given.
+and the complementary-pair witnesses.  Trees and unicyclic graphs share
+one parity rule: breadth-first, the uncolored neighbors of a colored
+vertex v copy one color x, and the smallest takes another color y
+exactly when x's count in N(v) would otherwise be even.  The tree, cycle
+and unicyclic constructions append their case decisions to log, a plain
+list of strings, when one is given.
 """
 
 from __future__ import annotations
@@ -46,56 +49,54 @@ def is_odd_tree(t: Graph) -> bool:
     return all(t.degree(v) % 2 == 1 for v in range(t.n))
 
 
-def _color_below_root_children(
+def _color_children(
     adj, parent: Sequence[int], order: Sequence[int], colors, avoid: Sequence[int]
 ) -> None:
-    """Color the vertices of order, each a child of a vertex v that has a
-    parent, in one pass.  order is breadth-first with neighbors in
-    increasing order, so v's children are consecutive, smallest first,
-    and v has len(adj[v]) - 1 of them.  The palette at v is 0..3 without
-    avoid[v].  An even set of children copies the parent's color; an
-    odd set sends its smallest child to the palette color missing from
-    vertex and parent, 6 - avoid[v] - colors[v] - pc as the three are
-    distinct, and the rest copy the parent's."""
+    """Color the vertices of order, each a child of a colored vertex v,
+    in one pass, by the parity rule: v's children all take a color x,
+    and the smallest takes y exactly when x's count in N(v) would
+    otherwise be even.  order is breadth-first with neighbors in
+    increasing order, so v's children are consecutive, smallest first.
+    The palette at v is 0..3 without avoid[v].  When v's parent has a
+    palette color, x is that color, counted once, and y is the palette
+    color missing from v and its parent.  At a root (no parent, or one
+    outside the palette) x < y are the two palette colors other than
+    v's.  Either way y is 6 - avoid[v] - colors[v] - x."""
     prev = -1
     for u in order:
         v = parent[u]
         if v != prev:
             prev = v
-            pc = colors[parent[v]]
-            if not len(adj[v]) & 1:
-                colors[u] = 6 - avoid[v] - colors[v] - pc
+            p, a = parent[v], avoid[v]
+            x = colors[p] if p >= 0 else a
+            count = len(adj[v])  # x's count in N(v) once every child takes x
+            if x == a:  # a root: no parent, or one outside the palette
+                x = min({0, 1, 2, 3} - {a, colors[v]})
+                count -= p >= 0  # such a parent's color is not x
+            if not count & 1:
+                colors[u] = 6 - a - colors[v] - x
                 continue
-        colors[u] = pc
+        colors[u] = x
 
 
 def color_tree(t: Graph, log: Optional[list[str]] = None) -> Coloring:
     """Strong odd coloring of a tree with 2 colors if it is odd, else 3.
 
-    Breadth-first: the root's neighborhood is made monochromatic when the
-    root degree is odd, otherwise one neighbor takes the third color.  At
-    every other vertex an even set of children copies the parent's color
-    and an odd set sends one child to the color missing from vertex and
-    parent.
+    The root takes 0 and the palette is 0..2.  Breadth-first, each
+    vertex's children copy one color x, and the smallest takes the third
+    color when x's count in the vertex's neighborhood would be even: x is
+    the parent's color, and 1 at the root.
     """
     log = [] if log is None else log
     plan = plan_rooted_tree(t)
     colors = [-1] * t.n
     colors[plan.root] = 0
-    # the walk lists the root's neighbors right after it, ascending
-    root_nbrs = plan.bfs_order[1:1 + len(t.adj[plan.root])]
-    if len(root_nbrs) % 2 == 1:
-        for u in root_nbrs:
-            colors[u] = 1
+    degree = len(t.adj[plan.root])
+    if degree % 2:
         log.append(f"root {plan.root}: odd degree, monochromatic neighborhood")
-    elif root_nbrs:
-        colors[root_nbrs[0]] = 2
-        for u in root_nbrs[1:]:
-            colors[u] = 1
+    elif degree:
         log.append(f"root {plan.root}: even degree, one neighbor recolored")
-    # palette 0..2 everywhere
-    below = plan.bfs_order[1 + len(root_nbrs):]
-    _color_below_root_children(t.adj, plan.parent, below, colors, (3,) * t.n)
+    _color_children(t.adj, plan.parent, plan.bfs_order[1:], colors, (3,) * t.n)
     return Coloring(tuple(colors))
 
 
@@ -177,10 +178,13 @@ def color_unicyclic(g: Graph, log: Optional[list[str]] = None) -> Coloring:
     """Strong odd coloring of a connected unicyclic graph.
 
     Uses at most 4 colors, except the bare five-cycle which needs 5.  The
-    cycle gets its optimal pattern first; each cycle vertex colors its
-    off-cycle neighbors monochromatically (one split case around the
-    five-cycle anchor), and pendant trees are finished with the 3-color
-    palette that avoids their attachment vertex.
+    cycle gets its optimal pattern first.  Everything else follows one
+    rule, breadth-first: the uncolored neighbors of a colored vertex v
+    copy one color x, and the smallest takes y when x's count in N(v)
+    would otherwise be even.  At a cycle vertex x is its successor's
+    color, and y the color of 0..3 missing from the vertex and its two
+    cycle neighbors.  Each pendant tree then follows color_tree's rule on
+    the palette 0..3 without its cycle vertex's color.
     """
     log = [] if log is None else log
     dec = decompose_unicyclic(g)
@@ -190,7 +194,7 @@ def color_unicyclic(g: Graph, log: Optional[list[str]] = None) -> Coloring:
     if nc == 5 and dec.pendant_roots:
         # start at the first cycle vertex with pendants (the anchor): a
         # rainbow on four colors whose last vertex repeats the anchor's
-        # successor color
+        # successor color, so that color is twice in the anchor's N
         i = next(i for i, v in enumerate(cyc) if v in dec.pendant_roots)
         ring, pat = cyc[i:] + cyc[:i], (0, 1, 2, 3, 1)
     else:
@@ -203,54 +207,26 @@ def color_unicyclic(g: Graph, log: Optional[list[str]] = None) -> Coloring:
 
     for i, a in enumerate(ring):
         roots = dec.pendant_roots.get(a)
-        if not roots:
-            continue
-        if nc == 5 and i == 0:
-            if len(roots) % 2 == 0:
-                for r in roots[:-1]:
-                    colors[r] = 1
-                colors[roots[-1]] = 2
-                log.append(f"five-cycle anchor {a}: even pendant set split {len(roots) - 1}+1")
-            else:
-                for r in roots:
-                    colors[r] = 1
-                log.append(f"five-cycle anchor {a}: odd pendant set monochromatic")
-        else:
-            succ = ring[(i + 1) % nc]
-            pred = ring[i - 1]
-            if len(roots) % 2 == 0:
-                for r in roots:
-                    colors[r] = colors[succ]
-                log.append(f"cycle vertex {a}: even pendant set copies a cycle neighbor")
-            else:
-                fourth = min({0, 1, 2, 3} - {colors[a], colors[succ], colors[pred]})
-                for r in roots:
-                    colors[r] = fourth
-                log.append(f"cycle vertex {a}: odd pendant set in a fresh color")
+        if roots:
+            x, pred = colors[ring[i + 1 - nc]], colors[ring[i - 1]]
+            for r in roots:
+                colors[r] = x
+            # x is at the successor, and at the predecessor too at the
+            # five-cycle anchor
+            fresh = not (len(roots) + 1 + (pred == x)) & 1
+            if fresh:
+                colors[roots[0]] = min({0, 1, 2, 3} - {colors[a], x, pred})
+            log.append(f"cycle vertex {a}: {len(roots)} pendant root(s), "
+                       f"{'one' if fresh else 'none'} in a fresh color")
 
-    # Pendant trees: the palette of a tree is 0..3 without the color of
-    # its cycle vertex.  An even set of root children splits into two odd
-    # monochromatic groups on the two palette colors other than the
-    # root's, an odd set is monochromatic; below the root children the
-    # general rule applies.
     parent = dec.parent
     avoid = [-1] * g.n
     for v in dec.forest_order:
         p = parent[v]
         avoid[v] = colors[p] if avoid[p] < 0 else avoid[p]
-    # the roots' children follow the roots in forest_order, root by root
-    order = dec.forest_order
+    # the roots open forest_order; their children and the rest follow
     nroots = sum(len(roots) for roots in dec.pendant_roots.values())
-    below = nroots
-    for r in order[:nroots]:
-        children = order[below:below + len(g.adj[r]) - 1]
-        below += len(children)
-        others = sorted({0, 1, 2, 3} - {avoid[r], colors[r]})
-        for u in children:
-            colors[u] = others[0]
-        if children and len(children) % 2 == 0:
-            colors[children[-1]] = others[1]
-    _color_below_root_children(g.adj, parent, order[below:], colors, avoid)
+    _color_children(g.adj, parent, dec.forest_order[nroots:], colors, avoid)
     return Coloring(tuple(colors))
 
 

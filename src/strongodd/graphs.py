@@ -288,8 +288,17 @@ def load_json(path) -> Graph:
     return from_json_dict(_read_json(path, GraphError))
 
 
+def _check_coloring_length(g: Graph, phi) -> None:
+    """Refuse a coloring (anything with a length) that does not give one
+    color per vertex of g."""
+    if len(phi) != g.n:
+        raise GraphError(f"coloring length {len(phi)} does not match n={g.n}")
+
+
 def export_dot(g: Graph, coloring=None) -> str:
     """GraphViz text; vertices carry a color=<id> attribute if given."""
+    if coloring is not None:
+        _check_coloring_length(g, coloring)
     lines = ["graph G {"]
     for v in range(g.n):
         if coloring is not None:

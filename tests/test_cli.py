@@ -164,12 +164,12 @@ _PROVENANCE_GRAPHS = {
      ["root 0: even degree, one neighbor recolored"]),
     (["--method", "unicyclic", "--graph", "{c7}"], ["bare cycle of length 7"]),
     (["--method", "unicyclic", "--graph", "{c5a}"],
-     ["five-cycle anchor 0: even pendant set split 1+1"]),
+     ["cycle vertex 0: 2 pendant root(s), one in a fresh color"]),
     (["--method", "unicyclic", "--graph", "{c5b}"],
-     ["five-cycle anchor 2: odd pendant set monochromatic"]),
+     ["cycle vertex 2: 1 pendant root(s), none in a fresh color"]),
     (["--method", "unicyclic", "--graph", "{c6}"],
-     ["cycle vertex 1: odd pendant set in a fresh color",
-      "cycle vertex 3: even pendant set copies a cycle neighbor"]),
+     ["cycle vertex 1: 1 pendant root(s), one in a fresh color",
+      "cycle vertex 3: 2 pendant root(s), none in a fresh color"]),
     (["--method", "cycle", "--n", "5"], ["cycle 5: 5 colors"]),
     (["--method", "cycle", "--n", "1001"], ["cycle 1001: 4 colors"]),
     (["--method", "c5box"], ["fixed 5-color grid assignment"]),
@@ -190,6 +190,27 @@ def test_color_provenance_lines_are_pinned(tmp_path, capsys, argv, provenance):
     code, out = run(capsys, "color", *[a.format(**paths) for a in argv])
     assert code == 0
     assert json.loads(out)["provenance"] == provenance
+
+
+def test_table_format_prints_one_flat_list_per_line(tmp_path, capsys):
+    code, out = run(capsys, "gen", "--family", "cycle", "--n", "3", "--format", "table")
+    assert code == 0
+    assert out == "n: 3\nedges:\n  [0, 1]\n  [0, 2]\n  [1, 2]\n"
+    save_map(embed_cycle(3), tmp_path / "c3.json")
+    code, out = run(capsys, "plane", "trace", "--map", str(tmp_path / "c3.json"),
+                    "--format", "table")
+    assert code == 0
+    assert out == ("faces:\n  [0, 4, 3]\n  [1, 2, 5]\n"
+                   "boundary_vertices:\n  [0, 1, 2]\n  [0, 1, 2]\n"
+                   "walks:\n  [0, 1, 2]\n  [1, 0, 2]\n")
+    save_json(make_cycle(7), tmp_path / "c7.json")
+    code, out = run(capsys, "solve", "--graph", str(tmp_path / "c7.json"),
+                    "--max-nodes", "1", "--format", "table")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines.pop(4).startswith("ms: ")  # the only line that is not deterministic
+    assert lines == ["value: None", "optimal: False", "witness: [0, 1, 2, 0, 1, 2, 3]",
+                     "nodes: 2", "bracket: [3, 4]"]
 
 
 def test_save_json_and_save_map_write_one_json_line(tmp_path):

@@ -197,8 +197,10 @@ def _leaf_per_vertex(c):
 
 
 def test_color_unicyclic_output_is_pinned():
-    # recorded from the earlier construction that colored each pendant
-    # tree as a separate subgraph; the one-pass walk must match it
+    # re-recorded when every vertex's uncolored neighbors came to follow
+    # one parity rule: the smallest of them switches, where the pendant
+    # roots of a tree root used to switch the largest, and an odd pendant
+    # set at a cycle vertex used to take the fresh color all together
     def corpus():
         rng = random.Random(5)
         for _ in range(300):
@@ -215,7 +217,7 @@ def test_color_unicyclic_output_is_pinned():
     h = hashlib.sha256()
     for g in corpus():
         h.update(repr(color_unicyclic(g).colors).encode())
-    assert h.hexdigest()[:16] == "527b7788da1da0a6"
+    assert h.hexdigest()[:16] == "c8fceef408bbe6a2"
 
 
 def test_decompose_unicyclic_output_is_pinned():
@@ -252,6 +254,50 @@ def test_color_unicyclic_random_corpus():
         dec = decompose_unicyclic(g)
         cap = 5 if (len(dec.cycle) == 5 and not dec.pendant_roots) else 4
         assert phi.k <= cap
+
+
+def _assert_parity_rule(g, phi, parent, cycle=()):
+    """Each colored vertex v colors its neighbors u with parent[u] == v:
+    they share one color x, except possibly the smallest.  When v has a
+    colored neighbor in its own palette (a tree parent, or a cycle
+    neighbor of a cycle vertex), x is that neighbor's color."""
+    c, on_cycle = phi.colors, set(cycle)
+    kids = [[] for _ in range(g.n)]
+    for u in range(g.n):
+        if parent[u] >= 0:
+            kids[parent[u]].append(u)
+    for v, ks in enumerate(kids):
+        if len(ks) < 2:
+            continue
+        x = c[ks[-1]]
+        assert {c[u] for u in ks[1:]} == {x}, (v, [c[u] for u in ks])
+        p = parent[v]
+        if v in on_cycle:
+            assert x in {c[w] for w in g.adj[v] if w in on_cycle}, v
+        elif p >= 0 and p not in on_cycle:
+            assert x == c[p], v
+
+
+def test_every_vertex_colors_its_neighbors_by_one_parity_rule():
+    rng = random.Random(32)
+    trees = [_relabeled(random_tree(rng.randint(3, 150), rng), rng) for _ in range(200)]
+    trees += [_relabeled(random_odd_tree(rng.randint(1, 50), rng), rng) for _ in range(100)]
+    for t in trees:
+        phi = color_tree(t)
+        assert is_strong_odd(t, phi) == []
+        assert phi.k == (2 if is_odd_tree(t) else 3)
+        _assert_parity_rule(t, phi, plan_rooted_tree(t).parent)
+    graphs = [_cycle_with_trees(5, rng.randint(6, 60), rng) for _ in range(150)]
+    graphs += [_leaf_per_vertex(c) for c in range(3, 13)]
+    graphs += [_cycle_with_trees(c, rng.randint(c, 80), rng)
+               for c in range(3, 13) for _ in range(15)]
+    graphs += [make_cycle(c) for c in range(3, 13)]
+    for g in graphs:
+        phi = color_unicyclic(g)
+        dec = decompose_unicyclic(g)
+        assert is_strong_odd(g, phi) == []
+        assert phi.k <= (5 if len(dec.cycle) == 5 and not dec.pendant_roots else 4)
+        _assert_parity_rule(g, phi, dec.parent, dec.cycle)
 
 
 def test_compose_product_coloring_bounds():

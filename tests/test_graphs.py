@@ -210,6 +210,13 @@ def test_export_dot_with_colors():
     assert "0 -- 1;" in text
 
 
+@pytest.mark.parametrize("colors", [(0, 1), (0, 1, 0, 1)])
+def test_export_dot_refuses_a_coloring_of_the_wrong_length(colors):
+    with pytest.raises(GraphError) as exc:
+        export_dot(make_path(3), Coloring(colors))
+    assert str(exc.value) == f"coloring length {len(colors)} does not match n=3"
+
+
 def test_diameter_and_connectivity():
     assert make_path(4).diameter() == 3
     assert Graph(0, frozenset()).is_connected()
