@@ -694,3 +694,62 @@ def brute_force_chi_so(g: Graph) -> int:
 
     rec(0, 0)
     return best
+
+
+def reference_coloring(n, adj, scopes, k) -> Optional[Coloring]:
+    """A coloring of (n, adj) with at most k colors in which every color
+    is odd or absent in every scope, or None when there is none.
+
+    The second oracle, for instances beyond brute_force_chi_so's reach:
+    a plain backtracking search over canonical colorings with only the
+    two trivially sound rules.  (a) A vertex never takes the color of an
+    earlier neighbor; (b) a scope's parity is checked once its last
+    vertex is colored.  The order is descending degree, ties by id, so
+    that scopes close early.  No bounds, components, implied edges or
+    rule (c), and no code shared with the engine.
+    """
+    if n > 20:
+        raise ValueError("reference oracle is limited to at most 20 vertices")
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    earlier = [[u for u in adj[v] if rank[u] < rank[v]] for v in order]
+    closing = [[] for _ in range(n)]
+    for s in scopes:
+        if s:
+            closing[max(rank[u] for u in s)].append(s)
+    color = [0] * n
+
+    def all_odd(s):
+        # bit c of odd: color c appears an odd number of times in s
+        odd = used = 0
+        for u in s:
+            odd ^= 1 << color[u]
+            used |= 1 << color[u]
+        return odd == used
+
+    def extend(i, used):
+        if i == n:
+            return True
+        v = order[i]
+        for c in range(min(used + 1, k)):
+            if any(color[u] == c for u in earlier[i]):
+                continue
+            color[v] = c
+            if all(all_odd(s) for s in closing[i]) and extend(i + 1, max(used, c + 1)):
+                return True
+        return False
+
+    return Coloring(tuple(color)) if extend(0, 0) else None
+
+
+def reference_value(n, adj, scopes) -> tuple:
+    """(the least k with a reference_coloring, that coloring), k
+    ascending from 1; n = 0 gives (0, the empty coloring)."""
+    if n == 0:
+        return 0, Coloring(())
+    k = 1
+    while (phi := reference_coloring(n, adj, scopes, k)) is None:
+        k += 1
+    return k, phi
