@@ -55,16 +55,22 @@ def _print_table(obj, indent=""):
                 print(f"{indent}{key}:")
                 _print_table(val, indent + "  ")
             else:
-                print(f"{indent}{key}: {val}")
+                print(f"{indent}{key}: {_spell(val)}")
     elif isinstance(obj, list) and all(map(_is_flat, obj)):  # one flat list per line
         for item in obj:
-            print(f"{indent}{item}")
+            print(f"{indent}{_spell(item)}")
     elif isinstance(obj, list):
         for item in obj:
             _print_table(item, indent)
             print()
     else:
-        print(f"{indent}{obj}")
+        print(f"{indent}{_spell(obj)}")
+
+
+def _spell(val):
+    """A scalar or flat list as the JSON output spells it (null, false,
+    ["a"]); a string stays bare."""
+    return val if isinstance(val, str) else json.dumps(val, default=list)
 
 
 def _is_flat(val):

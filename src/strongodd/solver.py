@@ -6,17 +6,32 @@ rule: a vertex may take color c only if c <= 1 + the largest color used
 on earlier vertices.  Parity requirements are expressed as *scopes*,
 vertex sets on which every used color must appear an odd number of
 times (open neighborhoods for strong odd colorings, face boundaries for
-facially odd ones).  Pruning:
+facially odd ones).  A *fixer* of color e in a scope is an uncolored
+member of the scope with no neighbor colored e.  Pruning:
 
   (a) a vertex never repeats a color of a colored neighbor;
   (b) once the last vertex of a scope is colored, the scope's full
       parity condition is checked;
-  (c) if some color has a positive even count in a scope and no
-      uncolored member of the scope can still legally take it, the
-      branch is abandoned.
+  (c) if some color has a positive even count in a scope and no fixer
+      of it is left there, the branch is abandoned;
+  (d) under ALL_ODD, if some color e has a positive even count in a
+      scope and exactly one fixer w of it is left there, w is colored
+      e at once: the forced rule.
 
-Rule (c) only fires when no legal completion exists, so a completed
-search at some k is a proof that no k-coloring exists.
+Rule (c) only fires when no legal completion exists.  Rule (d) only
+removes completions that cannot exist: an odd number of the scope's
+uncolored members must still take e to make its count odd, a member
+that is not a fixer never can, so w must.  A completed search at some k
+is therefore a proof that no k-coloring exists.  Rule (d) is unit
+propagation (Davis, Logemann & Loveland 1962), chained to a fixpoint
+as in maintaining generalized arc consistency (Bessiere, "Constraint
+propagation", 2006): coloring w can leave another pair with one fixer
+or none, and the chain goes on until nothing is forced or a pair has no
+fixer, which fails the child.  The waiting forced vertices form a
+bitset and are colored smallest id first; however they are taken, a
+chain that does not fail colors the same vertices the same colors.  A
+forced color is always a used color, so the canonical rule and the
+largest color used so far do not change.
 
 Vertex sets and scope sets are Python ints used as bitsets (bit v is
 vertex v, bit s is scope s), and color sets are ints with bit c for
@@ -31,59 +46,80 @@ Coloring v with c, and undoing it, touch only blocked[c], used_in[c],
 odd_in[c] and uncolored: O(1) big-int operations, with no loop over
 v's scopes.  Parity is an XOR toggle.  The scopes in which color e has
 a positive even count are ``used_in[e] & ~odd_in[e]``, and the fixers
-of e, the uncolored vertices with no neighbor colored e, are
-``uncolored & ~blocked[e]``.
+of e are ``uncolored & ~blocked[e]``.
 
-The search decides all children of a depth at once, when it enters
-the depth, from the state before any of them is assigned: the forward
-check of Haralick & Elliott (1980).  Rule (a) is the bit test
-``blocked[e] >> v``: the colors v may take (not blocked, at most 1 +
-the largest color used so far) form the mask of v's legal colors, and
-child c is v := c, for each legal c in ascending order.
+The search branches on the first uncolored vertex in the order and
+decides all its children at once, when it enters the depth, from the
+state before any of them is assigned: the forward check of Haralick &
+Elliott (1980).  Rule (a) is the bit test ``blocked[e] >> v``: the
+colors v may take (not blocked, at most 1 + the largest color used so
+far) form the mask of v's legal colors, and child c is v := c, for each
+legal c in ascending order.
 
 The vertex order is static, so the scopes whose last member in it is v
 form a mask ``closing[v]``, built once per instance.  These are the
 scopes that rule (b) checks when v is colored.  Under EXISTS_ODD (some
-color odd in every scope; rule (c) does not apply) a closing scope must
-lie in ``odd_in[e]`` for some color e, so child c fails when a closing
-scope is odd in c and in no other color.  Under ALL_ODD rule (b) is the
-case of rule (c) with no uncolored member left: a closed scope with an
-even color has no fixer.
+color odd in every scope; rules (c) and (d) do not apply) a closing
+scope must lie in ``odd_in[e]`` for some color e, so child c fails when
+a closing scope is odd in c and in no other color.  Under ALL_ODD rule
+(b) is the case of rule (c) with no uncolored member left: a closed
+scope with an even color has no fixer.
 
 Coloring v with c changes a scope's counts and uncolored members only
 if v is in it, and its fixers only if it holds a neighbor of v, and
-then only the fixers of c.  Every scope with an uncolored member passed
-rule (c) when v's depth was entered.  So child c needs the test only in
-v's own scopes vs, and for c in the other scopes touching N(v),
-``others[v]``; an illegal color e was blocked for v, so v was not a
-fixer of e, and e's counts and fixers there did not change.  None of
-these tests reads the assignment:
+then only the fixers of c.  When a depth is entered the chain above it
+has reached its fixpoint, so every pair with a positive even count has
+at least two fixers.  So after v := c only these pairs can be left with
+one fixer or none: those of v's own scopes vs, and those of c in the
+other scopes touching N(v), ``others[v]``; an illegal color e was
+blocked for v, so v was not a fixer of e, and e's counts and fixers
+there did not change.  None of these tests reads the assignment:
 
   - a legal color e other than c keeps ``used_in[e]``, ``odd_in[e]``
-    and ``blocked[e]``; only v leaves ``uncolored``.  So the failing
-    set F, the legal e with an even scope in ``used_in[e] & ~odd_in[e]
-    & vs`` that has no fixer in ``(uncolored - v) & ~blocked[e]``, is
-    the same for every child.  Two failing colors prune every child,
-    and one, e, leaves only child e;
+    and ``blocked[e]``; only v leaves ``uncolored``.  So the pairs of
+    e in ``used_in[e] & ~odd_in[e] & vs``, with the fixers
+    ``(uncolored - v) & ~blocked[e]``, are the same for every child
+    other than e, and are tested once, on entry.  No fixer makes e a
+    failing color: two failing colors prune every child, and one, e,
+    leaves only child e.  One fixer makes a *single*: a (color e,
+    fixer) pair kept for the depth, whose fixer every child other than
+    e forces to e;
   - once v takes c, the even scopes of c in vs are ``odd_in[c] & vs``,
     those in ``others[v]`` keep ``used_in[c] & ~odd_in[c]``, and both
-    have the fixers ``(uncolored - v) & ~(blocked[c] | nbr[v])``.
+    have the fixers ``(uncolored - v) & ~(blocked[c] | nbr[v])``.  This
+    is tested per child, when the child is tried: no fixer prunes it,
+    one is forced.
 
-This prunes exactly the children that assigning each one and testing
-every color of every scope would.  The per-vertex masks are built once
-per instance and reused for every k.
+A forced vertex w := e is tested the same way before it is colored:
+the pairs of e as for a child, and, since w is no longer a fixer of the
+other colors x it could take, the pairs of x in w's scopes with the
+fixers ``(uncolored - w) & ~blocked[x]``.  These are the only pairs
+whose counts or fixers the assignment changes, so the waiting set is
+always exactly the set of vertices left as a pair's one fixer, and a
+pair with no fixer shows at the assignment that makes it.  This prunes
+and forces exactly what assigning each child and forced vertex and
+testing every color of every scope would.  The per-vertex masks are
+built once per instance and reused for every k.
 
-The depth-first search keeps an explicit stack: per depth v's legal
-colors not tried yet, those whose child survives, the largest color
-used so far, and the ``blocked[c]`` and ``used_in[c]`` to restore on
-undo.  Only survivors are assigned.  A pruned child still counts as a
-node, as if it had been assigned and undone: the step to the next
-survivor counts it and the pruned children below it in one
-``bit_count``, and a depth with no survivor left counts the rest.  The
-node cap and the clock probes (node 1 and every 4,096 nodes) fall on
-the exact node inside a step, so node counts, give-ups and statuses
-are those of a search that assigns every child.  Input size is not
-limited by the interpreter's recursion depth.
+The depth-first search keeps an explicit stack: per depth the position
+of its vertex in the order, that vertex's legal colors not tried yet,
+those whose child survives the entry tests, the largest color used so
+far, its singles, and the height of the trail before its assignment.
+The trail lists the colored vertices in assignment order, children and
+forced vertices alike, each with the ``blocked[c]`` and ``used_in[c]``
+to restore on undo; a failed child, or a depth with no child left,
+unwinds it to the depth's height.  A node is one child tried or one
+forced vertex colored.  Only surviving children are assigned, but a
+pruned child still counts as a node, as if it had been assigned and
+undone: the step to the next survivor counts it and the pruned children
+below it in one ``bit_count``, and a depth with no survivor left counts
+the rest.  A forced vertex is one node, counted before its test, so a
+forced assignment that fails its chain counts too.  The node cap and
+the clock probes (node 1 and every 4,096 nodes) fall on the exact node,
+inside a step or a chain, so node counts, give-ups and statuses are
+those of a search that assigns every child and colors every forced
+vertex one at a time.  Input size is not limited by the interpreter's
+recursion depth.
 
 Solves and decisions are split into the components of the conflict
 relation: two vertices are joined when they are adjacent or share a
@@ -358,6 +394,8 @@ class _ParitySearch:
         )
         # the scopes of v's neighbors that do not contain v
         self.others = [_or(vsmask[u] for u in _members(a)) & ~vsmask[v] for v, a in enumerate(nbr)]
+        # want[w]: the color a forced vertex w must take, while it waits
+        self.want = [0] * n
 
     def lower_bound(self, part) -> int:
         """The larger of two cliques, each grown greedily from the first
@@ -423,43 +461,62 @@ class _ParitySearch:
         node_cap nodes and the time.monotonic() deadline (probed at node
         1 and every 4,096 nodes).  Returns (status, nodes); on YES the
         coloring is written into color at part's vertices."""
+        if not part:
+            return YES, 0
         # a canonical coloring of part never uses more colors than part
         # has vertices, so the state needs no more than that
         k = min(k, len(part))
         n, nbr = len(part), self.nbr
         smask, vsmask, others, closing = self.smask, self.vsmask, self.others, self.closing
         check_c = self.mode == ALL_ODD and bool(smask)
+        want = self.want
         blocked = [0] * k
         used_in = [0] * k
         odd_in = [0] * k
         uncolored = _bits(part)
-        # per depth: v's legal colors not tried yet, those whose child
-        # survives rules (b) and (c), the largest color on earlier
-        # vertices, and blocked[c] and used_in[c] before the assignment;
-        # depth 0 may only take color 0, and nothing prunes it
+        # per depth: the position in part of the vertex it branches on,
+        # that vertex's legal colors not tried yet and those whose child
+        # survives the entry tests, the largest color on earlier
+        # vertices, and the trail height before its assignment.  The
+        # singles of depth d, (color, fixer bit) pairs found when it was
+        # entered, are single[ends[d]:ends[d + 1]].  Depth 0 branches on
+        # part[0], which may only take color 0, and nothing prunes it
+        at = [0] * n
         left = [1] * n
         live = [1] * n
         top = [-1] * n
+        mark = [0] * n
+        ends = [0] * (n + 1)
+        single = []
+        # the colored vertices in assignment order, each with blocked[c]
+        # and used_in[c] before its assignment
+        trail = [0] * n
         saved_blocked = [0] * n
         saved_used = [0] * n
+        # the forced vertices waiting to be colored, the smallest first
+        pend = 0
         # the next node that reads the clock, and the first node that
         # reads it or passes the cap
         probe = stop = 1
-        nodes = 0
-        pos = 0
-        while pos < n:
-            todo = left[pos]
-            cand = todo & live[pos]
-            if cand:
-                # try the lowest survivor c; the pruned children below it
-                # are tried too, one node each
-                low = cand & -cand
-                tried = todo & ((low << 1) - 1)
-                left[pos] = todo ^ tried
+        nodes = d = h = t = 0
+        while True:
+            if pend:
+                low = pend & -pend
+                step = 1
             else:
-                tried = todo
-            if tried:
-                nodes += tried.bit_count()
+                todo = left[d]
+                cand = todo & live[d]
+                if cand:
+                    # try the lowest survivor c; the pruned children below
+                    # it are tried too, one node each
+                    low = cand & -cand
+                    tried = todo & ((low << 1) - 1)
+                    left[d] = todo ^ tried
+                else:
+                    tried = todo
+                step = tried.bit_count()
+            if step:
+                nodes += step
                 if nodes >= stop:
                     # the clock is read at node 1 and every 4,096 nodes
                     # after it, up to the cap
@@ -470,38 +527,115 @@ class _ParitySearch:
                     if nodes > node_cap:
                         return UNKNOWN, math.floor(node_cap) + 1
                     stop = probe if probe <= node_cap else math.floor(node_cap) + 1
-            if not cand:
-                if pos == 0:
+            if pend:
+                # the forced vertex w := e; w leaves the fixers of every
+                # other color it could take, in its own scopes
+                pend ^= low
+                w = low.bit_length() - 1
+                e = want[w]
+                vs = vsmask[w]
+                rest = uncolored ^ low
+                bad = False
+                for x in range(t + 1):
+                    even = used_in[x] & vs & ~odd_in[x]
+                    if even and x != e and not blocked[x] >> w & 1:
+                        fixers = rest & ~blocked[x]
+                        while even:
+                            low = even & -even
+                            even ^= low
+                            f = smask[low.bit_length() - 1] & fixers
+                            if not f & (f - 1):
+                                if not f:
+                                    bad = True
+                                    break
+                                pend |= f
+                                want[f.bit_length() - 1] = x
+                        if bad:
+                            break
+            elif not cand:
+                if d == 0:
                     return NO, nodes
-                # undo the assignment at the depth above
-                pos -= 1
-                v = part[pos]
-                c = color[v]
-                uncolored |= 1 << v
-                blocked[c] = saved_blocked[pos]
-                used_in[c] = saved_used[pos]
-                odd_in[c] ^= vsmask[v]
+                # back to the depth above, whose child failed below
+                d -= 1
+                bad = True
+            else:
+                w = part[at[d]]
+                e = low.bit_length() - 1
+                vs = vsmask[w]
+                t = top[d] if top[d] > e else e
+                bad = False
+                if check_c:
+                    rest = uncolored ^ (1 << w)
+                    # the singles of the other colors, found on entry:
+                    # each one's fixer must take that color now
+                    i, j = ends[d], ends[d + 1]
+                    while i < j:
+                        if single[i] != e:
+                            f = single[i + 1]
+                            pend |= f
+                            want[f.bit_length() - 1] = single[i]
+                        i += 2
+            if check_c and not bad:
+                # e itself once w takes it: e is even in w's scopes where
+                # it is odd now, and in the other scopes touching N(w)
+                # where it is even now; w's color blocks its neighbors.
+                # No fixer left fails the child, one is forced
+                even = odd_in[e] & vs | used_in[e] & others[w] & ~odd_in[e]
+                if even:
+                    fixers = rest & ~(blocked[e] | nbr[w])
+                    while even:
+                        low = even & -even
+                        even ^= low
+                        f = smask[low.bit_length() - 1] & fixers
+                        if not f & (f - 1):
+                            if not f:
+                                bad = True
+                                break
+                            pend |= f
+                            want[f.bit_length() - 1] = e
+            if bad:
+                # the child fails: undo its assignment, if it was made,
+                # and those its chain forced
+                pend = 0
+                m = mark[d]
+                while h > m:
+                    h -= 1
+                    w = trail[h]
+                    e = color[w]
+                    uncolored |= 1 << w
+                    blocked[e] = saved_blocked[h]
+                    used_in[e] = saved_used[h]
+                    odd_in[e] ^= vsmask[w]
                 continue
-            v = part[pos]
-            c = low.bit_length() - 1
-            vs = vsmask[v]
-            color[v] = c
-            uncolored ^= 1 << v
-            saved_blocked[pos] = blocked[c]
-            blocked[c] |= nbr[v]
-            saved_used[pos] = used_in[c]
-            used_in[c] |= vs
-            odd_in[c] ^= vs
-            pos += 1
-            if pos == n:
-                break
-            # enter the next depth: decide every child of u from the state
-            # before its assignment (see the module docstring)
-            t = top[pos] = c if c > top[pos - 1] else top[pos - 1]
-            u = part[pos]
+            color[w] = e
+            uncolored ^= 1 << w
+            trail[h] = w
+            saved_blocked[h] = blocked[e]
+            blocked[e] |= nbr[w]
+            saved_used[h] = used_in[e]
+            used_in[e] |= vs
+            odd_in[e] ^= vs
+            h += 1
+            if pend:
+                continue
+            # the chain is done: branch on the next uncolored vertex
+            p = at[d] + 1
             if check_c:
-                vs, ot = vsmask[u], others[u]
+                while p < n and not uncolored >> part[p] & 1:
+                    p += 1
+            if p == n:
+                return YES, nodes
+            d += 1
+            at[d] = p
+            top[d] = t
+            mark[d] = h
+            # enter the depth: decide every child of u from the state
+            # before its assignment (see the module docstring)
+            u = part[p]
+            if check_c:
+                vs = vsmask[u]
                 rest = uncolored ^ (1 << u)
+                del single[ends[d]:]
             else:
                 vs = 0
             free = fail = 0
@@ -510,41 +644,28 @@ class _ParitySearch:
                     continue
                 free |= 1 << e
                 # rule (c) for e in u's scopes, whichever other color u
-                # takes; after two failures the answer is known
+                # takes; after two failures the answer is known.  A
+                # scope with one fixer left for e is a single: its
+                # fixer must take e unless u does
                 if vs and not fail & (fail - 1):
                     even = used_in[e] & vs & ~odd_in[e]
                     if even:
                         fixers = rest & ~blocked[e]
                         while even:
                             low = even & -even
-                            if not smask[low.bit_length() - 1] & fixers:
-                                fail |= 1 << e
-                                break
                             even ^= low
-            left[pos] = free
+                            f = smask[low.bit_length() - 1] & fixers
+                            if not f & (f - 1):
+                                if not f:
+                                    fail |= 1 << e
+                                    break
+                                single.append(e)
+                                single.append(f)
+            left[d] = free
+            ends[d + 1] = len(single)
             # a failing color leaves only its own child, two leave none
             ok = free if not fail else 0 if fail & (fail - 1) else fail
-            if check_c and ok and (vs or ot):
-                # rule (c) for c itself once u takes it: c is even in u's
-                # scopes where it is odd now, and in the other scopes
-                # touching N(u) where it is even now; u's color blocks
-                # its neighbors
-                nu = nbr[u]
-                tests = ok
-                while tests:
-                    bit = tests & -tests
-                    tests ^= bit
-                    e = bit.bit_length() - 1
-                    even = odd_in[e] & vs | used_in[e] & ot & ~odd_in[e]
-                    if even:
-                        fixers = rest & ~(blocked[e] | nu)
-                        while even:
-                            low = even & -even
-                            if not smask[low.bit_length() - 1] & fixers:
-                                ok ^= bit
-                                break
-                            even ^= low
-            elif not check_c and closing[u]:
+            if not check_c and closing[u]:
                 # rule (b) under EXISTS_ODD: a closing scope that is odd
                 # in c alone turns even when u takes c
                 cl = closing[u]
@@ -558,8 +679,7 @@ class _ParitySearch:
                     for e in range(t + 1):
                         if odd_in[e] & alone:
                             ok &= ~(1 << e)
-            live[pos] = ok
-        return YES, nodes
+            live[d] = ok
 
 
 def _strong_odd_scopes(g: Graph):

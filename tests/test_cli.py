@@ -209,8 +209,15 @@ def test_table_format_prints_one_flat_list_per_line(tmp_path, capsys):
     assert code == 1
     lines = out.splitlines()
     assert lines.pop(4).startswith("ms: ")  # the only line that is not deterministic
-    assert lines == ["value: None", "optimal: False", "witness: [0, 1, 2, 0, 1, 2, 3]",
+    # value and optimal printed Python's None and False before
+    assert lines == ["value: null", "optimal: false", "witness: [0, 1, 2, 0, 1, 2, 3]",
                      "nodes: 2", "bracket: [3, 4]"]
+    # a flat list of strings is spelled as in the JSON output
+    save_json(make_path(3), tmp_path / "p3.json")
+    code, out = run(capsys, "color", "--graph", str(tmp_path / "p3.json"), "--method", "tree",
+                    "--format", "table")
+    assert code == 0
+    assert 'provenance: ["' in out and "'" not in out
 
 
 def test_save_json_and_save_map_write_one_json_line(tmp_path):

@@ -110,7 +110,7 @@ def test_determinism():
         assert a.nodes_explored == b.nodes_explored
 
 
-@pytest.mark.parametrize("name,nodes", [("G12a", 616), ("G12b", 12), ("G7", 7)])
+@pytest.mark.parametrize("name,nodes", [("G12a", 236), ("G12b", 12), ("G7", 7)])
 def test_gallery_node_counts_pinned(name, nodes):
     res = chi_so_exact(gallery(name).graph)
     assert res.optimal and res.nodes_explored == nodes
@@ -119,7 +119,7 @@ def test_gallery_node_counts_pinned(name, nodes):
 @pytest.mark.parametrize("solve,value,nodes", [
     (chi_exact, 2, 20),
     (chi_odd_exact, 4, 240),
-    (chi_so_exact, 5, 816),
+    (chi_so_exact, 5, 436),
     (chi_square_exact, 5, 26),
 ])
 def test_grid_node_counts_pinned(solve, value, nodes):
@@ -129,17 +129,19 @@ def test_grid_node_counts_pinned(solve, value, nodes):
 
 
 # (n, p, value, optimal, lo, nodes) of chi_so under a 10,000-node budget
-# on G(n, p) drawn from random.Random(f"{n}:{p}"); four solves give up.
+# on G(n, p) drawn from random.Random(f"{n}:{p}"); every solve certifies.
+# Before forced colors, (20, 0.2), (20, 0.3), (22, 0.2) and (22, 0.3)
+# gave up at 10,001 nodes with lo 7, 11, 7 and 10
 _GNP_PINS = [
-    (12, 0.2, 3, True, 3, 12), (12, 0.3, 6, True, 6, 55),
+    (12, 0.2, 3, True, 3, 12), (12, 0.3, 6, True, 6, 19),
     (12, 0.5, 12, True, 12, 12), (14, 0.2, 5, True, 5, 17),
-    (14, 0.3, 6, True, 6, 68), (14, 0.5, 14, True, 14, 373),
-    (16, 0.2, 5, True, 5, 583), (16, 0.3, 10, True, 10, 396),
-    (16, 0.5, 13, True, 13, 376), (18, 0.2, 6, True, 6, 167),
-    (18, 0.3, 7, True, 7, 1674), (18, 0.5, 18, True, 18, 1960),
-    (20, 0.2, None, False, 7, 10001), (20, 0.3, None, False, 11, 10001),
-    (20, 0.5, 20, True, 20, 2620), (22, 0.2, None, False, 7, 10001),
-    (22, 0.3, None, False, 10, 10001), (22, 0.5, 22, True, 22, 1937),
+    (14, 0.3, 6, True, 6, 44), (14, 0.5, 14, True, 14, 263),
+    (16, 0.2, 5, True, 5, 86), (16, 0.3, 10, True, 10, 154),
+    (16, 0.5, 13, True, 13, 250), (18, 0.2, 6, True, 6, 48),
+    (18, 0.3, 7, True, 7, 130), (18, 0.5, 18, True, 18, 748),
+    (20, 0.2, 9, True, 9, 4603), (20, 0.3, 13, True, 13, 2110),
+    (20, 0.5, 20, True, 20, 944), (22, 0.2, 9, True, 9, 2830),
+    (22, 0.3, 12, True, 12, 4757), (22, 0.5, 22, True, 22, 844),
 ]
 
 
@@ -150,6 +152,17 @@ def test_random_graph_node_counts_pinned():
         r = chi_so_exact(g, Budget(max_nodes=10_000))
         got.append((n, p, r.value, r.optimal, r.lo, r.nodes_explored))
     assert got == _GNP_PINS
+
+
+def test_forced_colors_certify_the_former_give_ups():
+    # rule (c) alone gave up on all four at 10,001 nodes; a scope with one
+    # fixer left for an even color now colors that fixer
+    for n, p, value, nodes in ((20, 0.2, 9, 4603), (20, 0.3, 13, 2110),
+                               (22, 0.2, 9, 2830), (22, 0.3, 12, 4757)):
+        g = random_graph(n, p, random.Random(f"{n}:{p}"))
+        r = chi_so_exact(g, Budget(max_nodes=10_000))
+        assert (r.value, r.optimal, r.nodes_explored) == (value, True, nodes)
+        assert is_strong_odd(g, r.witness) == [] and r.witness.k == value
 
 
 def test_chi_odd_node_count_pinned():
@@ -188,12 +201,12 @@ def _claim2_pieces():
 
 
 def test_engine_decisions_are_pinned():
-    # recorded when the search adjacency became the implied graph: every
-    # decision from the input graph's clique bound up to the first YES
-    # (or the first give-up at 5,000 nodes) and one k above it, each
+    # every decision from the input graph's clique bound up to the first
+    # YES (or the first give-up at 5,000 nodes) and one k above it, each
     # also cut short at 1, 37 and 1,000 nodes, keeps its status, node
-    # count and witness.  The instances without scopes or under
-    # EXISTS_ODD made the same decisions before the implied edges
+    # count and witness.  Re-recorded when forced colors came in
+    # (edce4645b2bf5eac before); the instances without scopes or under
+    # EXISTS_ODD made the same decisions before and after
     h = hashlib.sha256()
     for n, adj, scopes, mode in _engine_instances():
         # the whole instance as one part, components and all
@@ -209,7 +222,7 @@ def test_engine_decisions_are_pinned():
             if status != "no":
                 last = min(last, k + 1)
             k += 1
-    assert h.hexdigest()[:16] == "edce4645b2bf5eac"
+    assert h.hexdigest()[:16] == "4af7bfa017ec8a87"
 
 
 def test_rainbow_is_the_fixpoint_of_the_scope_rule():
@@ -333,28 +346,51 @@ def test_yes_witnesses_are_proper_on_the_implied_graph():
     assert witnesses > 60
 
 
-def _reference_run(search, k, scopes) -> tuple:
-    """run() on the whole instance, with rule (c) tested in full after
-    every assignment: every color of every scope, closed ones included.
-    Same order, canonical colors and adjacency, and one node per color
-    tried, so (status, nodes) must equal run()'s."""
+def _reference_run(search, k, scopes, kinds=None) -> tuple:
+    """run() on the whole instance, with rule (c) and the forced rule
+    tested in full after every assignment: every color of every scope,
+    closed ones included.  A fixer of color e in scope s is an uncolored
+    member of s with no neighbor colored e.  When e has a positive even
+    count in s, no fixer fails the child, and exactly one must take e:
+    the forced vertex with the smallest id is colored, as one node, and
+    the test repeats until nothing is forced.  Then the next uncolored
+    vertex in the order branches.  Same order, canonical colors and
+    adjacency, and one node per color tried, so (status, nodes) must
+    equal run()'s.  kinds, if given, gets "branch" or "forced" per node."""
+    kinds = [] if kinds is None else kinds
     order, n = search.order, search.n
     nbrs = [list(_members(a)) for a in search.nbr]
     color = [None] * n
     nodes = 0
 
-    def pruned():
-        for s in scopes:
-            count = Counter(color[v] for v in s)
-            for e in range(k):
-                if count[e] and count[e] % 2 == 0 and not any(
-                    color[u] is None and all(color[w] != e for w in nbrs[u]) for u in s
-                ):
-                    return True
-        return False
+    def propagate(forced):
+        """Color forced vertices, appending them to forced, until none is
+        left (True) or some even color has no fixer (False)."""
+        nonlocal nodes
+        while True:
+            single = {}
+            for s in scopes:
+                count = Counter(color[v] for v in s)
+                for e in range(k):
+                    if count[e] and count[e] % 2 == 0:
+                        fixers = [u for u in s if color[u] is None
+                                  and all(color[w] != e for w in nbrs[u])]
+                        if not fixers:
+                            return False
+                        if len(fixers) == 1:
+                            single[fixers[0]] = min(e, single.get(fixers[0], e))
+            if not single:
+                return True
+            w = min(single)
+            nodes += 1
+            kinds.append("forced")
+            color[w] = single[w]
+            forced.append(w)
 
     def extend(pos, top):
         nonlocal nodes
+        while pos < n and color[order[pos]] is not None:
+            pos += 1
         if pos == n:
             return True
         v = order[pos]
@@ -362,9 +398,13 @@ def _reference_run(search, k, scopes) -> tuple:
             if any(color[w] == c for w in nbrs[v]):
                 continue
             nodes += 1
+            kinds.append("branch")
             color[v] = c
-            if not pruned() and extend(pos + 1, max(top, c)):
+            forced = []
+            if propagate(forced) and extend(pos + 1, max(top, c)):
                 return True
+            for w in forced:
+                color[w] = None
         color[v] = None
         return False
 
@@ -374,8 +414,10 @@ def _reference_run(search, k, scopes) -> tuple:
 def test_incremental_rule_c_prunes_what_the_full_test_prunes():
     # the reference reads the search's order and its one adjacency, nbr,
     # so run() must make exactly its nodes; a search whose blocked masks
-    # still read the input graph makes more, and fails here
-    instances = [i for i in _engine_instances() if i[0] <= 12 and i[3] == ALL_ODD and i[2]]
+    # still read the input graph makes more, and fails here.  So do
+    # forced vertices taken largest first, and entry singles dropped,
+    # which the instances of at most 12 vertices did not show
+    instances = [i for i in _engine_instances() if i[0] <= 20 and i[3] == ALL_ODD and i[2]]
     compared = 0
     for n, adj, scopes, mode in instances:
         search = _ParitySearch(n, adj, scopes, mode)
@@ -392,26 +434,34 @@ def test_incremental_rule_c_prunes_what_the_full_test_prunes():
 
 
 def test_the_planar_map_that_gave_up_is_certified():
-    # searched on the input graph, k = 7 stayed open after 2M nodes
+    # searched on the input graph, k = 7 stayed open after 2M nodes; on
+    # the implied graph it took 356,564 nodes before forced colors
     g = random_planar_map(40, random.Random(40)).underlying
     res = chi_so_exact(g, Budget(max_nodes=500_000))
-    assert (res.value, res.optimal, res.nodes_explored) == (7, True, 356_564)
+    assert (res.value, res.optimal, res.nodes_explored) == (7, True, 23_751)
     assert is_strong_odd(g, res.witness) == []
 
 
 def test_rule_c_reads_the_implied_graph_in_the_other_scopes():
-    # others[v], the scopes touching N(v) that rule (c) tests for v's
-    # color, must come from the implied adjacency: v's color blocks its
-    # implied neighbors too.  Built from the input graph it misses scopes,
-    # and the first map "certifies" 7 after 37 nodes with a witness that
-    # is not strong odd, while the second needs 14,170 nodes
+    # others[v], the scopes touching N(v) that rule (c) and the forced
+    # rule test for v's color, must come from the implied adjacency: v's
+    # color blocks its implied neighbors too.  Built from the input graph
+    # it misses scopes.  Before forced colors the first map then
+    # "certified" 7 after 37 nodes with a witness that is not strong odd
+    # (26,436 nodes here then, and 12,930 for the second map); now the
+    # two maps do not show it, and the G(30, 0.15) draw needs 15,425
+    # nodes instead of 8,759
     g = random_planar_map(23, random.Random(2)).underlying
     res = chi_so_exact(g, Budget(max_nodes=100_000))
-    assert (res.value, res.optimal, res.nodes_explored) == (7, True, 26_436)
+    assert (res.value, res.optimal, res.nodes_explored) == (7, True, 40)
     assert is_strong_odd(g, res.witness) == []
     g = random_planar_map(37, random.Random(1)).underlying
     res = chi_so_exact(g, Budget(max_nodes=100_000))
-    assert (res.value, res.optimal, res.nodes_explored) == (6, True, 12_930)
+    assert (res.value, res.optimal, res.nodes_explored) == (6, True, 1_272)
+    assert is_strong_odd(g, res.witness) == []
+    g = random_graph(30, 0.15, random.Random("others:30:13"))
+    res = chi_so_exact(g, Budget(max_nodes=100_000))
+    assert (res.value, res.optimal, res.nodes_explored) == (6, True, 8_759)
     assert is_strong_odd(g, res.witness) == []
 
 
@@ -467,12 +517,15 @@ def test_budget_exhaustion_brackets_with_a_valid_witness(solve, verify):
 
 
 def _capped_instances():
-    """(name, search, k) of decisions that prune by rule (c) (NO and YES),
-    by rule (b) under EXISTS_ODD, by rule (a) alone, and on faces."""
-    g = random_graph(18, 0.3, random.Random("18:0.3"))
+    """(name, search, k) of decisions that prune by rule (c) and force
+    colors (NO and YES), by rule (b) under EXISTS_ODD, by rule (a) alone,
+    and on faces."""
+    # G(18, 0.3) at 6 and 7 took 82 and 48 nodes with forced colors, too
+    # few for the sweep below; G(20, 0.3) takes 890 and 376
+    g = random_graph(20, 0.3, random.Random("20:0.3"))
     so = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
-    yield "chi_so no", so, 6
-    yield "chi_so yes", so, 7
+    yield "chi_so no", so, 12
+    yield "chi_so yes", so, 13
     g = random_graph(16, 0.3, random.Random("odd:16:0.3"))
     scopes = [sorted(g.adj[v]) for v in range(g.n) if g.adj[v]]
     yield "chi_odd no", _ParitySearch(g.n, g.adj, scopes, EXISTS_ODD), 3
@@ -505,18 +558,42 @@ def test_the_node_cap_is_exact(name, search, k):
             assert status != "yes" or tuple(color) == colors
 
 
+def test_the_node_cap_is_exact_inside_a_forced_chain():
+    # a forced assignment is one node, so a cap whose next node is forced
+    # stops there, in the middle of the chain; the reference names the
+    # kind of every node
+    inside = 0
+    for n, adj, scopes, mode in _engine_instances():
+        if n > 12 or mode != ALL_ODD or not scopes:
+            continue
+        search = _ParitySearch(n, adj, scopes, mode)
+        whole, color = search.order, [0] * n
+        for k in range(_greedy_clique(search.given, whole), n + 1):
+            kinds = []
+            status, nodes = _reference_run(search, min(k, n), scopes, kinds)
+            for cap in range(1, nodes):
+                if kinds[cap - 1] == kinds[cap] == "forced":
+                    assert search.run(k, whole, color, cap, math.inf) == ("unknown", cap + 1)
+                    inside += 1
+            if status == "yes":
+                break
+    assert inside > 20
+
+
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_the_clock_is_read_at_node_1_and_every_4096_nodes(monkeypatch, j):
     # the Budget docstring's promise: a run stops at the first probe at
-    # or past its deadline, and probes only there
-    g = random_graph(20, 0.2, random.Random("20:0.2"))
+    # or past its deadline, and probes only there.  G(20, 0.2) at k = 7
+    # no longer reaches node 8,193 with forced colors (888 nodes), so a
+    # G(30, 0.3) draw at 18, one above its give-up k, runs long enough
+    g = random_graph(30, 0.3, random.Random(1))
     search = _ParitySearch(g.n, g.adj, _strong_odd_scopes(g), ALL_ODD)
     whole, color = search.order, [0] * g.n
-    assert search.run(7, whole, color, 8193, math.inf) == ("unknown", 8194)
+    assert search.run(18, whole, color, 8193, math.inf) == ("unknown", 8194)
     reads = itertools.count(1)
     # the j-th read is the first at the deadline
     monkeypatch.setattr(solver.time, "monotonic", lambda: float(next(reads) >= j))
-    assert search.run(7, whole, color, math.inf, 1.0) == ("unknown", 4096 * (j - 1) + 1)
+    assert search.run(18, whole, color, math.inf, 1.0) == ("unknown", 4096 * (j - 1) + 1)
     assert next(reads) == j + 1
 
 
@@ -600,11 +677,12 @@ def _union_3():
 
 
 def test_disjoint_union_certifies_per_component():
-    # searched as one instance it exhausts 10,001 nodes at 7..9
+    # searched as one instance it exhausted 10,001 nodes at 7..9 before
+    # forced colors; per component it took 263 nodes then
     g = _union_3()
     res = chi_so_exact(g, Budget(max_nodes=2_000))
     assert (res.value, res.optimal, res.lo, res.hi) == (9, True, 9, 9)
-    assert res.nodes_explored == 263
+    assert res.nodes_explored == 55
     assert is_strong_odd(g, res.witness) == [] and res.witness.k == 9
     # K4 has the larger clique bound, so it is searched first and P4
     # starts at k = 4: 4 + 4 nodes, with nothing to refute
