@@ -1,6 +1,6 @@
 """The engine against the reference oracle, a search with rules (a) and
-(b) only, on instances of 10 to 16 vertices: beyond brute_force_chi_so's
-nine, and far enough that every pruning rule of the engine fires."""
+(b) only, on instances of 10 to 16 vertices, beyond brute_force_chi_so's
+nine."""
 
 import math
 import random

@@ -613,8 +613,7 @@ def test_plane_map_outputs_are_pinned():
 
 def test_pipeline_colorings_are_pinned():
     # the pipeline's colorings on every fourth map of the pin above; an
-    # engine change that moves a piece's witness shows here only.
-    # Re-recorded when forced colors came in (3a347fd7e2a99ffc before)
+    # engine change that moves a piece's witness shows here only
     h = hashlib.sha256()
     for i, pm, _, phi in _pinned_maps():
         if i % 4 == 0:
@@ -698,7 +697,6 @@ def test_chi_pfo_node_count_pinned_on_claim2_piece():
     pieces = decompose_claim1(pm, chi_exact(pm.underlying).witness)
     piece = max(pieces, key=lambda q: q.n)
     r = chi_pfo_exact(augment_claim2(piece), Budget(max_nodes=10_000))
-    # 18 nodes before forced colors
     assert (piece.n, r.value, r.optimal, r.lo, r.nodes_explored) == (13, 5, True, 5, 17)
 
 
@@ -768,7 +766,6 @@ def test_pipeline_counts_the_nodes_of_its_pieces():
     pm = random_planar_map(50, random.Random(1))
     phi = chi_exact(pm.underlying, Budget(max_nodes=10_000)).witness
     res = strong_odd_via_planar_detailed(pm, phi, Budget(max_nodes=50_000))
-    # 226 nodes before forced colors
     assert (res.coloring.k, res.pfo_values, res.nodes_explored) == (21, (6, 5, 5, 5), 156)
     total = 0
     for piece in decompose_claim1(pm, phi):
