@@ -48,42 +48,44 @@ v's scopes.  Parity is an XOR toggle.  The scopes in which color e has
 a positive even count are ``used_in[e] & ~odd_in[e]``, and the fixers
 of e are ``uncolored & ~blocked[e]``.
 
-The search branches on the first uncolored vertex in the order and
-decides all its children at once, when it enters the depth, from the
-state before any of them is assigned: the forward check of Haralick &
-Elliott (1980).  Rule (a) is the bit test ``blocked[e] >> v``: the
-colors v may take (not blocked, at most 1 + the largest color used so
-far) form the mask of v's legal colors, and child c is v := c, for each
-legal c in ascending order.
+The search branches on the first uncolored vertex v in the order.
+Rule (a) is the bit test ``blocked[e] >> v``: the colors v may take
+(not blocked, at most 1 + the largest color used so far) form the mask
+of v's legal colors, found when the depth is entered, and child c is
+v := c, for each legal c in ascending order, tried one at a time.
 
 The vertex order is static, so the scopes whose last member in it is v
 form a mask ``closing[v]``, built once per instance.  These are the
 scopes that rule (b) checks when v is colored.  Under EXISTS_ODD (some
 color odd in every scope; rules (c) and (d) do not apply) a closing
-scope must lie in ``odd_in[e]`` for some color e, so child c fails when
-a closing scope is odd in c and in no other color.  Under ALL_ODD rule
-(b) is the case of rule (c) with no uncolored member left: a closed
-scope with an even color has no fixer.
+scope must lie in ``odd_in[e]`` for some color e once v is colored, so
+child c fails when a closing scope is odd in no color of
+``odd_in[c] ^ vs`` and ``odd_in[x]`` for the other used colors x.
+Under ALL_ODD rule (b) is the case of rule (c) with no uncolored member
+left: a closed scope with an even color has no fixer.
 
 Coloring v with c changes a scope's counts and uncolored members only
 if v is in it, and its fixers only if it holds a neighbor of v, and
-then only the fixers of c.  When a depth is entered the chain above it
-has reached its fixpoint, so every pair with a positive even count has
-at least two fixers.  So after v := c only these pairs can be left with
-one fixer or none: those of v's own scopes vs, and those of c in the
-other scopes touching N(v), ``others[v]``; an illegal color e was
-blocked for v, so v was not a fixer of e, and e's counts and fixers
-there did not change.  None of these tests reads the assignment:
+then only the fixers of c.  So after v := c only these pairs can be
+left with one fixer or none: those of v's own scopes vs, and those of
+c in the other scopes touching N(v), ``others[v]``; an illegal color e
+was blocked for v, so v was not a fixer of e, and e's counts and fixers
+there did not change.  Every assignment, child or forced, tests all of
+these pairs, so when a depth is entered the chain above it has reached
+its fixpoint: every pair with a positive even count has at least two
+fixers.  ``others[v]`` is what keeps this invariant: without it a pair
+in a scope touching N(v) could lose its last fixers unseen, and the
+search returns wrong values.  None of these tests reads the assignment:
 
   - a legal color e other than c keeps ``used_in[e]``, ``odd_in[e]``
     and ``blocked[e]``; only v leaves ``uncolored``.  So the pairs of
     e in ``used_in[e] & ~odd_in[e] & vs``, with the fixers
     ``(uncolored - v) & ~blocked[e]``, are the same for every child
-    other than e, and are tested once, on entry.  No fixer makes e a
-    failing color: two failing colors prune every child, and one, e,
-    leaves only child e.  One fixer makes a *single*: a (color e,
-    fixer) pair kept for the depth, whose fixer every child other than
-    e forces to e;
+    other than e, and are tested once, on entry.  By the invariant v
+    was one of at least two fixers, so each pair keeps one and no child
+    fails here.  A pair with one fixer left makes a *single*: a (color
+    e, fixer) pair kept for the depth, whose fixer every child other
+    than e forces to e;
   - once v takes c, the even scopes of c in vs are ``odd_in[c] & vs``,
     those in ``others[v]`` keep ``used_in[c] & ~odd_in[c]``, and both
     have the fixers ``(uncolored - v) & ~(blocked[c] | nbr[v])``.  This
@@ -103,23 +105,18 @@ built once per instance and reused for every k.
 
 The depth-first search keeps an explicit stack: per depth the position
 of its vertex in the order, that vertex's legal colors not tried yet,
-those whose child survives the entry tests, the largest color used so
-far, its singles, and the height of the trail before its assignment.
-The trail lists the colored vertices in assignment order, children and
-forced vertices alike, each with the ``blocked[c]`` and ``used_in[c]``
-to restore on undo; a failed child, or a depth with no child left,
-unwinds it to the depth's height.  A node is one child tried or one
-forced vertex colored.  Only surviving children are assigned, but a
-pruned child still counts as a node, as if it had been assigned and
-undone: the step to the next survivor counts it and the pruned children
-below it in one ``bit_count``, and a depth with no survivor left counts
-the rest.  A forced vertex is one node, counted before its test, so a
-forced assignment that fails its chain counts too.  The node cap and
-the clock probes (node 1 and every 4,096 nodes) fall on the exact node,
-inside a step or a chain, so node counts, give-ups and statuses are
-those of a search that assigns every child and colors every forced
-vertex one at a time.  Input size is not limited by the interpreter's
-recursion depth.
+the largest color used so far, its singles, and the height of the
+trail before its assignment.  The trail lists the colored vertices in
+assignment order, children and forced vertices alike, each with the
+``blocked[c]`` and ``used_in[c]`` to restore on undo; a failed child,
+or a depth with no child left, unwinds it to the depth's height.  A
+node is one child tried or one forced vertex colored, counted before
+its test: a pruned child counts but is never assigned, so it costs no
+undo, and a forced assignment that fails its chain counts too.  The
+node cap and the clock probes (node 1 and every 4,096 nodes) are
+checked at every node, so a give-up stops at the first node past the
+cap, inside a chain or not.  Input size is not limited by the
+interpreter's recursion depth.
 
 Solves and decisions are split into the components of the conflict
 relation: two vertices are joined when they are adjacent or share a
@@ -179,7 +176,6 @@ lo == hi.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -475,15 +471,13 @@ class _ParitySearch:
         odd_in = [0] * k
         uncolored = _bits(part)
         # per depth: the position in part of the vertex it branches on,
-        # that vertex's legal colors not tried yet and those whose child
-        # survives the entry tests, the largest color on earlier
-        # vertices, and the trail height before its assignment.  The
-        # singles of depth d, (color, fixer bit) pairs found when it was
-        # entered, are single[ends[d]:ends[d + 1]].  Depth 0 branches on
-        # part[0], which may only take color 0, and nothing prunes it
+        # that vertex's legal colors not tried yet, the largest color on
+        # earlier vertices, and the trail height before its assignment.
+        # The singles of depth d, (color, fixer bit) pairs found when it
+        # was entered, are single[ends[d]:ends[d + 1]].  Depth 0 branches
+        # on part[0], which may only take color 0, and nothing prunes it
         at = [0] * n
         left = [1] * n
-        live = [1] * n
         top = [-1] * n
         mark = [0] * n
         ends = [0] * (n + 1)
@@ -495,38 +489,22 @@ class _ParitySearch:
         saved_used = [0] * n
         # the forced vertices waiting to be colored, the smallest first
         pend = 0
-        # the next node that reads the clock, and the first node that
-        # reads it or passes the cap
-        probe = stop = 1
+        # the next node that reads the clock
+        probe = 1
         nodes = d = h = t = 0
         while True:
-            if pend:
-                low = pend & -pend
-                step = 1
-            else:
-                todo = left[d]
-                cand = todo & live[d]
-                if cand:
-                    # try the lowest survivor c; the pruned children below
-                    # it are tried too, one node each
-                    low = cand & -cand
-                    tried = todo & ((low << 1) - 1)
-                    left[d] = todo ^ tried
-                else:
-                    tried = todo
-                step = tried.bit_count()
-            if step:
-                nodes += step
-                if nodes >= stop:
+            # the next node: the smallest forced vertex, else the lowest
+            # child of depth d not tried yet
+            low = pend & -pend if pend else left[d] & -left[d]
+            if low:
+                nodes += 1
+                if nodes > node_cap:
+                    return UNKNOWN, nodes
+                if nodes == probe:
                     # the clock is read at node 1 and every 4,096 nodes
-                    # after it, up to the cap
-                    while probe <= nodes and probe <= node_cap:
-                        if time.monotonic() >= deadline:
-                            return UNKNOWN, probe
-                        probe += 4096
-                    if nodes > node_cap:
-                        return UNKNOWN, math.floor(node_cap) + 1
-                    stop = probe if probe <= node_cap else math.floor(node_cap) + 1
+                    if time.monotonic() >= deadline:
+                        return UNKNOWN, nodes
+                    probe += 4096
             if pend:
                 # the forced vertex w := e; w leaves the fixers of every
                 # other color it could take, in its own scopes
@@ -552,13 +530,15 @@ class _ParitySearch:
                                 want[f.bit_length() - 1] = x
                         if bad:
                             break
-            elif not cand:
+            elif not low:
                 if d == 0:
                     return NO, nodes
                 # back to the depth above, whose child failed below
                 d -= 1
                 bad = True
             else:
+                # the child w := e
+                left[d] ^= low
                 w = part[at[d]]
                 e = low.bit_length() - 1
                 vs = vsmask[w]
@@ -575,6 +555,14 @@ class _ParitySearch:
                             pend |= f
                             want[f.bit_length() - 1] = single[i]
                         i += 2
+                elif closing[w]:
+                    # rule (b) under EXISTS_ODD: every scope w closes must
+                    # be odd in some color once w takes e
+                    odd = odd_in[e] ^ vs
+                    for x in range(top[d] + 1):
+                        if x != e:
+                            odd |= odd_in[x]
+                    bad = closing[w] & ~odd != 0
             if check_c and not bad:
                 # e itself once w takes it: e is even in w's scopes where
                 # it is odd now, and in the other scopes touching N(w)
@@ -629,8 +617,8 @@ class _ParitySearch:
             at[d] = p
             top[d] = t
             mark[d] = h
-            # enter the depth: decide every child of u from the state
-            # before its assignment (see the module docstring)
+            # enter the depth: u's legal colors, and under ALL_ODD the
+            # singles of u's scopes (see the module docstring)
             u = part[p]
             if check_c:
                 vs = vsmask[u]
@@ -638,48 +626,26 @@ class _ParitySearch:
                 del single[ends[d]:]
             else:
                 vs = 0
-            free = fail = 0
+            free = 0
             for e in range(min(t + 2, k)):
                 if blocked[e] >> u & 1:  # rule (a)
                     continue
                 free |= 1 << e
-                # rule (c) for e in u's scopes, whichever other color u
-                # takes; after two failures the answer is known.  A
-                # scope with one fixer left for e is a single: its
+                # each pair of e keeps a fixer besides u (the fixpoint
+                # invariant), and one with just one is a single: its
                 # fixer must take e unless u does
-                if vs and not fail & (fail - 1):
-                    even = used_in[e] & vs & ~odd_in[e]
-                    if even:
-                        fixers = rest & ~blocked[e]
-                        while even:
-                            low = even & -even
-                            even ^= low
-                            f = smask[low.bit_length() - 1] & fixers
-                            if not f & (f - 1):
-                                if not f:
-                                    fail |= 1 << e
-                                    break
-                                single.append(e)
-                                single.append(f)
+                even = used_in[e] & vs & ~odd_in[e]
+                if even:
+                    fixers = rest & ~blocked[e]
+                    while even:
+                        low = even & -even
+                        even ^= low
+                        f = smask[low.bit_length() - 1] & fixers
+                        if not f & (f - 1):
+                            single.append(e)
+                            single.append(f)
             left[d] = free
             ends[d + 1] = len(single)
-            # a failing color leaves only its own child, two leave none
-            ok = free if not fail else 0 if fail & (fail - 1) else fail
-            if not check_c and closing[u]:
-                # rule (b) under EXISTS_ODD: a closing scope that is odd
-                # in c alone turns even when u takes c
-                cl = closing[u]
-                once = twice = 0
-                for e in range(t + 1):
-                    odd = odd_in[e] & cl
-                    twice |= once & odd
-                    once |= odd
-                alone = once & ~twice
-                if alone:
-                    for e in range(t + 1):
-                        if odd_in[e] & alone:
-                            ok &= ~(1 << e)
-            live[d] = ok
 
 
 def _strong_odd_scopes(g: Graph):
@@ -693,6 +659,8 @@ def is_k_strong_odd_colorable(
     time on one budget; the first component that answers NO or runs out
     of budget answers for g.  When some component's lower bound exceeds
     k the answer is NO, with no search."""
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, not {type(k).__name__}")
     if k < 1:
         raise ValueError("k must be positive")
     budget = budget or Budget()

@@ -429,6 +429,66 @@ def test_incremental_rule_c_prunes_what_the_full_test_prunes():
     assert compared > 40
 
 
+def _plain_reference_run(search, k, scopes, pruned) -> tuple:
+    """run() on the whole instance for the searches without forced
+    colors (EXISTS_ODD, and ALL_ODD with no scopes): rule (a), and rule
+    (b) by rescanning every scope that the child's vertex closes for a
+    color of odd count.  Same order, canonical colors and adjacency, and
+    one node per legal color tried, so (status, nodes) must equal
+    run()'s.  pruned gets one entry per child that rule (b) fails."""
+    order, n = search.order, search.n
+    nbrs = [list(_members(a)) for a in search.nbr]
+    rank = {v: i for i, v in enumerate(order)}
+    closing = [[] for _ in range(n)]
+    for s in scopes:
+        if s:
+            closing[max(s, key=rank.get)].append(s)
+    color = [None] * n
+    nodes = 0
+
+    def extend(pos, top):
+        nonlocal nodes
+        if pos == n:
+            return True
+        v = order[pos]
+        for c in range(min(top + 2, k)):
+            if any(color[w] == c for w in nbrs[v]):
+                continue
+            nodes += 1
+            color[v] = c
+            if not all(any(m % 2 for m in Counter(color[u] for u in s).values())
+                       for s in closing[v]):
+                pruned.append(v)
+                continue
+            if extend(pos + 1, max(top, c)):
+                return True
+        color[v] = None
+        return False
+
+    return ("yes" if extend(0, -1) else "no"), nodes
+
+
+def test_the_searches_without_forced_colors_match_the_plain_reference():
+    # rule (b) under EXISTS_ODD is tested per child, and nothing else
+    # prunes; a test that misses a closed scope, or prunes a child with
+    # another odd color, makes other nodes
+    instances = [i for i in _engine_instances()
+                 if i[0] <= 20 and (i[3] == EXISTS_ODD or not i[2])]
+    compared, pruned = 0, []
+    for n, adj, scopes, mode in instances:
+        search = _ParitySearch(n, adj, scopes, mode)
+        whole, color = search.order, [0] * n
+        k = _greedy_clique(search.given, whole)
+        while True:
+            status, nodes = search.run(k, whole, color, math.inf, math.inf)
+            assert (status, nodes) == _plain_reference_run(search, min(k, n), scopes, pruned)
+            compared += 1
+            if status == "yes":
+                break
+            k += 1
+    assert compared > 60 and pruned
+
+
 def test_the_planar_map_that_gave_up_is_certified():
     # searched on the input graph, k = 7 stayed open after 2M nodes
     g = random_planar_map(40, random.Random(40)).underlying
@@ -533,8 +593,8 @@ def _capped_instances():
 
 @pytest.mark.parametrize("name,search,k", list(_capped_instances()))
 def test_the_node_cap_is_exact(name, search, k):
-    # one step of the search counts a survivor and the pruned children
-    # before it; a cap inside a step still stops at the first node past it
+    # every child is one node, counted before its test, pruned or not;
+    # a cap stops at the first node past it
     whole = search.order
     color = [0] * search.n
     status, nodes = search.run(k, whole, color, math.inf, math.inf)
@@ -657,6 +717,13 @@ def test_brute_force_guard():
 def test_decision_k_validation():
     with pytest.raises(ValueError):
         is_k_strong_odd_colorable(make_cycle(3), 0)
+
+
+def test_decision_refuses_a_k_that_is_not_an_int():
+    # refused before any arithmetic on k, so no internal error shows
+    for k in (3.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="k must be an int"):
+            is_k_strong_odd_colorable(make_cycle(7), k)
 
 
 def _union_3():
