@@ -27,9 +27,10 @@ from .colorings import (
     load_coloring,
 )
 from .graphs import (
+    _read_json,
     _write_json,
+    from_json_dict,
     join,
-    load_json,
     make_complete,
     make_complete_bipartite,
     make_complete_multipartite,
@@ -80,7 +81,8 @@ def _is_flat(val):
 
 
 # The most vertices plus edges that a command builds from its size flags
-# (a coloring alone counts its vertices): ten times the largest size in
+# or from a graph or map file (a coloring alone counts its vertices, and
+# a file its n and edges): ten times the largest size in
 # the README, tests and CI, gen --family path --n 50000.  K_450, at a
 # tenth of it, takes about 0.7 s and 62 MB.
 MAX_SIZE = 1_000_000
@@ -92,6 +94,19 @@ def _check_size(flags: str, size: int) -> None:
     if size > MAX_SIZE:
         raise ValueError(f"{flags} too large: {size:,} vertices and edges, "
                          f"above the limit of {MAX_SIZE:,}")
+
+
+def _load(flag: str, path, from_dict=from_json_dict):
+    """The graph (or, with planemaps.map_from_json_dict, the map) in the
+    file named by a flag.  A file sizes what it builds by its n and
+    edges, so they are checked before anything of size n is built; a
+    malformed file is left to from_dict to refuse."""
+    data = _read_json(path, ValueError)
+    if isinstance(data, dict):
+        n, edges = data.get("n"), data.get("edges")
+        if type(n) is int and isinstance(edges, list):
+            _check_size(flag, n + len(edges))
+    return from_dict(data)
 
 
 def _product_size(g, h, kind: str) -> int:
@@ -151,7 +166,7 @@ _PREDICATES = {
 
 
 def cmd_verify(args) -> int:
-    g = load_json(args.graph)
+    g = _load("--graph", args.graph)
     phi = load_coloring(args.coloring)
     report = {}
     for name, pred in _PREDICATES.items():
@@ -177,7 +192,7 @@ _SOLVERS = {
 
 
 def cmd_solve(args) -> int:
-    g = load_json(args.graph)
+    g = _load("--graph", args.graph)
     if args.k is not None:
         if args.param != "so":
             raise ValueError("decision mode (--k) is available for --param so")
@@ -228,13 +243,13 @@ def cmd_color(args) -> int:
     if args.method == "product" and not (args.left and args.right):
         raise ValueError("--method product requires --left and --right")
     if args.method == "tree":
-        g = load_json(args.graph)
+        g = _load("--graph", args.graph)
         phi = constructive.color_tree(g, log)
     elif args.method == "cycle":
         _check_size("--n", args.n)
         phi = constructive.color_cycle(args.n, log)
     elif args.method == "unicyclic":
-        g = load_json(args.graph)
+        g = _load("--graph", args.graph)
         phi = constructive.color_unicyclic(g, log)
     elif args.method == "c5box":
         phi = constructive.c5_box_c5_table()
@@ -244,8 +259,8 @@ def cmd_color(args) -> int:
         phi = constructive.color_direct_complete(args.p, args.q)
         log.append(f"direct product of complete graphs on {args.p} and {args.q}")
     elif args.method == "product":
-        left = load_json(args.left)
-        right = load_json(args.right)
+        left = _load("--left", args.left)
+        right = _load("--right", args.right)
         _check_size("--left and --right", _product_size(left, right, args.kind))
         phi_l = _optimal_factor_coloring("left", left, args.budget)
         if phi_l is None:
@@ -284,8 +299,8 @@ def cmd_color(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_product(args) -> int:
-    g = load_json(args.left)
-    h = load_json(args.right)
+    g = _load("--left", args.left)
+    h = _load("--right", args.right)
     _check_size("--left and --right", _product_size(g, h, args.kind))
     _emit(to_json_dict(product(g, h, args.kind)), args.format)
     return 0
@@ -298,7 +313,7 @@ def cmd_product(args) -> int:
 def cmd_plane(args) -> int:
     if args.action in ("claim1", "pipeline") and args.coloring is None:
         raise ValueError(f"plane {args.action} needs --coloring")
-    m = planemaps.load_map(args.map)
+    m = _load("--map", args.map, planemaps.map_from_json_dict)
     if args.action == "trace":
         fd = planemaps.trace_faces(m)
         out = {
@@ -402,6 +417,9 @@ def cmd_corpus(args) -> int:
         raise ValueError(f"--size must be at least {low} for --family {args.family}")
     if args.count < 0:
         raise ValueError("--count must be at least 0")
+    if args.family in ("tree", "unicyclic"):
+        # the largest item drawn: a tree or a unicyclic graph on --size vertices
+        _check_size("--size", 2 * args.size - (args.family == "tree"))
     rng = random.Random(args.seed)
     failures = []
     items = []

@@ -469,14 +469,6 @@ class _MapBuilder:
                 x = nxt[x]
         return out
 
-    def orbit(self, d0: int) -> list[int]:
-        cyc = [d0]
-        d = self.succ(d0)
-        while d != d0:
-            cyc.append(d)
-            d = self.succ(d)
-        return cyc
-
     def _new_darts(self, u: int, w: int) -> tuple[int, int]:
         a = len(self.vert)
         b = a + 1
@@ -862,7 +854,9 @@ class _EndBlocks:
     one.  Merging end block B with block C at their cut vertex v changes
     no other block, and the new edge changes the rotations only at its
     ends.  Two blocks share at most one vertex, so their two smallest
-    vertices order them as their sorted vertex tuples do."""
+    vertices order them as their sorted vertex tuples do.  Claim 2
+    merges the end block with the smallest key first, across the corner
+    after the smallest of its darts at its cut vertex."""
 
     def __init__(self, b: _MapBuilder):
         self.b = b
@@ -942,7 +936,11 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     Disconnected boundaries are bridged inside their region first; then
     each end-block is merged by an edge across a corner at its cut
     vertex, splitting one face into a triangle and a face with the
-    original vertex set.
+    original vertex set.  Any such corner keeps the face vertex sets, so
+    the rule is the simplest: the end block with the smallest sorted
+    vertex tuple goes first, and its corner is the one after its
+    smallest dart a at the cut vertex, from a's twin to the next dart
+    around that face.
 
     Bridging order.  A region's pieces are its boundary orbits, keyed by
     their smallest dart, then its isolated vertices v, keyed by the next
@@ -993,13 +991,10 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     blocks = _EndBlocks(b)
     while (end := blocks.next_end()) is not None:
         block, v, darts = end
-        # the corners (x, y) at v where x arrives from the end block and
-        # y leaves it; of several, take the one that a scan of the
-        # orbits from their smallest darts meets first
-        corners = [(a ^ 1, b.succ(a ^ 1)) for a in darts]
-        if len(corners) > 1:
-            corners.sort(key=lambda c: _corner_rank(b, c[1]))
-        x, y = corners[0]
+        # the corner at v after the end block's smallest dart a there:
+        # x = a ^ 1 arrives from the end block, y leaves into another
+        x = min(darts) ^ 1
+        y = b.succ(x)
         other = blocks.block_of(y)
         d = b.add_corner_edge(x, y)
         blocks.merge(block, other, v, y, d)
@@ -1009,13 +1004,6 @@ def augment_claim2(m: PlaneMultigraph) -> PlaneMultigraph:
     if lost:
         raise AssertionError(f"Claim 2 lost face boundary {sorted(next(iter(lost)))}")
     return out
-
-
-def _corner_rank(b: _MapBuilder, y: int) -> tuple[int, int]:
-    """The smallest dart of y's orbit, then y's position after it."""
-    cyc = b.orbit(y)
-    first = min(cyc)
-    return first, -cyc.index(first) % len(cyc)
 
 
 # ---------------------------------------------------------------------------

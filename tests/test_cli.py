@@ -526,6 +526,8 @@ def _limited(argv):
      "--left and --right", 10_299_900),
     (["color", "--method", "product", "--kind", "lexicographic", "--left", "{k}", "--right", "{p}"],
      "--left and --right", 19_800_399_900),
+    (["corpus", "--family", "tree", "--size", "500001"], "--size", 1_000_001),
+    (["corpus", "--family", "unicyclic", "--size", "500001"], "--size", 1_000_002),
 ])
 def test_sizes_above_the_limit_exit_2_before_building(tmp_path, argv, flags, size):
     save_json(make_path(2000), tmp_path / "p.json")
@@ -537,13 +539,19 @@ def test_sizes_above_the_limit_exit_2_before_building(tmp_path, argv, flags, siz
 
 def test_the_size_limit_counts_exactly_what_is_built(tmp_path, capsys, monkeypatch):
     # each command is refused with the limit one below its size, the
-    # vertices plus edges built (a coloring alone counts its vertices),
-    # and runs with the limit at its size
+    # vertices plus edges built (a coloring alone counts its vertices,
+    # and a graph or map file its n and edges), and runs with the limit
+    # at its size
     assert cli.MAX_SIZE >= 10 * (2 * 50_000 - 1)  # gen --family path --n 50000
     left, right = make_cycle(5), Graph(3, frozenset({(0, 1)}))
     save_json(left, tmp_path / "l.json")
     save_json(right, tmp_path / "r.json")
-    files = ["--left", str(tmp_path / "l.json"), "--right", str(tmp_path / "r.json")]
+    save_json(make_path(5), tmp_path / "p.json")
+    save_json(Graph(1, frozenset()), tmp_path / "one.json")
+    save_map(embed_cycle(5), tmp_path / "m.json")
+    (tmp_path / "c.json").write_text(json.dumps({"colors": [0, 1, 0, 1, 2]}))
+    c5, p5, one, m, c = (str(tmp_path / f"{x}.json") for x in ("l", "p", "one", "m", "c"))
+    files = ["--left", c5, "--right", str(tmp_path / "r.json")]
     cases = [
         (["gen", "--family", "path", "--n", "7"], "--n", make_path(7)),
         (["gen", "--family", "cycle", "--n", "7"], "--n", make_cycle(7)),
@@ -559,6 +567,17 @@ def test_the_size_limit_counts_exactly_what_is_built(tmp_path, capsys, monkeypat
         (["color", "--method", "cycle", "--n", "9"], "--n", Graph(9, frozenset())),
         (["color", "--method", "direct-complete", "--p", "4", "--q", "3"], "--p and --q",
          Graph(12, frozenset())),
+        (["solve", "--graph", c5], "--graph", left),
+        (["verify", "--graph", c5, "--coloring", c], "--graph", left),
+        (["color", "--method", "tree", "--graph", p5], "--graph", make_path(5)),
+        (["color", "--method", "unicyclic", "--graph", c5], "--graph", left),
+        (["product", "--kind", "cartesian", "--left", c5, "--right", one], "--left", left),
+        (["product", "--kind", "cartesian", "--left", one, "--right", c5], "--right", left),
+        (["plane", "trace", "--map", m], "--map", left),
+        # the largest tree and unicyclic graph a corpus may draw
+        (["corpus", "--family", "tree", "--size", "6", "--count", "5"], "--size", make_path(6)),
+        (["corpus", "--family", "unicyclic", "--size", "6", "--count", "5"], "--size",
+         make_cycle(6)),
     ]
     for kind in PRODUCT_KINDS:
         cases.append((["product", "--kind", kind, *files], "--left and --right",

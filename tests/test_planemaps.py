@@ -586,7 +586,9 @@ def test_plane_map_outputs_are_pinned():
     # Recorded before Claim 1 became one sweep over the outside vertices,
     # which must return the same maps; re-recorded without the digon
     # expansions when they were deleted, and again when random_planar_map
-    # began to remove edges in place (maps 36 and 39 had a bridge moved)
+    # began to remove edges in place (maps 36 and 39 had a bridge moved),
+    # and when Claim 2 began to cut each end block's corner at its
+    # smallest dart (maps 20, 27 and 32 have other corner edges)
     h = hashlib.sha256()
 
     def pin(x):
@@ -608,7 +610,21 @@ def test_plane_map_outputs_are_pinned():
         pin(_map_key(augment_claim2(pm)))
     for n in (*range(3, 12), 40, 100):
         pin(_map_key(augment_claim2(embed_path(n))))
-    assert h.hexdigest()[:16] == "4b0899fbe7df0597"
+    assert h.hexdigest()[:16] == "65bb672acb94eaf8"
+
+
+def test_claim2_cuts_the_corner_at_the_smallest_dart():
+    # map 27's class-1 piece: an end block meets the rest at cut vertex
+    # 1 by two corners; the one after its smaller dart gives (2, 8),
+    # where ranking the corners by their face orbits gave (8, 15) later
+    _, pm, _, phi = next(x for x in _pinned_maps() if x[0] == 27)
+    piece = decompose_claim1(pm, phi)[1]
+    assert (piece.n, piece.m) == (21, 45)
+    aug = augment_claim2(piece)
+    assert aug.edges[:piece.m] == piece.edges
+    assert aug.edges[piece.m:] == ((1, 8), (0, 10), (10, 13), (2, 8), (0, 14), (14, 17))
+    assert is_two_connected(aug)
+    assert not Counter(piece.face_vertex_sets()) - Counter(aug.face_vertex_sets())
 
 
 def test_pipeline_colorings_are_pinned():
