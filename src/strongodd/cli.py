@@ -340,6 +340,12 @@ def cmd_plane(args) -> int:
             "piece_orders": list(res.piece_orders),
             "piece_color_counts": list(res.piece_color_counts),
         }
+        # the coloring is still strong odd; the search only missed the
+        # bound the paper proves for every piece
+        for i, cnt in enumerate(res.piece_color_counts):
+            if cnt > planemaps.PLANAR_PFO_UPPER:
+                print(f"warning: piece {i} has {cnt} colors, above the paper's bound of "
+                      f"{planemaps.PLANAR_PFO_UPPER} per piece", file=sys.stderr)
     _emit(out, args.format)
     return 0
 

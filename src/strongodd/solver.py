@@ -40,13 +40,22 @@ color c.  The search state is indexed by color only:
   blocked[c]   the vertices with a neighbor colored c;
   used_in[c]   the scopes in which c is present;
   odd_in[c]    the scopes in which c has an odd count;
-  uncolored    the vertices not yet colored.
+  uncolored    the vertices not yet colored;
+  evc          under ALL_ODD with scopes, the colors with a positive
+               even count in some scope.
 
 Coloring v with c, and undoing it, touch only blocked[c], used_in[c],
-odd_in[c] and uncolored: O(1) big-int operations, with no loop over
-v's scopes.  Parity is an XOR toggle.  The scopes in which color e has
-a positive even count are ``used_in[e] & ~odd_in[e]``, and the fixers
-of e are ``uncolored & ~blocked[e]``.
+odd_in[c], uncolored and bit c of evc: O(1) big-int operations, with no
+loop over v's scopes.  Parity is an XOR toggle.  The scopes in which
+color e has a positive even count are ``used_in[e] & ~odd_in[e]``, and
+the fixers of e are ``uncolored & ~blocked[e]``.  Only c's counts
+change, so bit c of evc is set or cleared after each assignment, and an
+undo restores evc from the trail.  evc may over-approximate (a color
+even nowhere costs a test that finds no pair) but never
+under-approximate: the forced vertex's walk and the singles found on
+entry test only the colors in it, so a color missing from it would let
+a pair with one fixer or none go unseen.  Under EXISTS_ODD and without
+scopes evc is neither kept nor read.
 
 The search branches on the first uncolored vertex v in the order.
 Rule (a) is the bit test ``blocked[e] >> v``: the colors v may take
@@ -81,11 +90,11 @@ search returns wrong values.  None of these tests reads the assignment:
     and ``blocked[e]``; only v leaves ``uncolored``.  So the pairs of
     e in ``used_in[e] & ~odd_in[e] & vs``, with the fixers
     ``(uncolored - v) & ~blocked[e]``, are the same for every child
-    other than e, and are tested once, on entry.  By the invariant v
-    was one of at least two fixers, so each pair keeps one and no child
-    fails here.  A pair with one fixer left makes a *single*: a (color
-    e, fixer) pair kept for the depth, whose fixer every child other
-    than e forces to e;
+    other than e, and are tested once, on entry, for the legal e in
+    evc.  By the invariant v was one of at least two fixers, so each
+    pair keeps one and no child fails here.  A pair with one fixer left
+    makes a *single*: a (color e, fixer) pair kept for the depth, whose
+    fixer every child other than e forces to e;
   - once v takes c, the even scopes of c in vs are ``odd_in[c] & vs``,
     those in ``others[v]`` keep ``used_in[c] & ~odd_in[c]``, and both
     have the fixers ``(uncolored - v) & ~(blocked[c] | nbr[v])``.  This
@@ -95,27 +104,27 @@ search returns wrong values.  None of these tests reads the assignment:
 A forced vertex w := e is tested the same way before it is colored:
 the pairs of e as for a child, and, since w is no longer a fixer of the
 other colors x it could take, the pairs of x in w's scopes with the
-fixers ``(uncolored - w) & ~blocked[x]``.  These are the only pairs
-whose counts or fixers the assignment changes, so the waiting set is
-always exactly the set of vertices left as a pair's one fixer, and a
-pair with no fixer shows at the assignment that makes it.  This prunes
-and forces exactly what assigning each child and forced vertex and
-testing every color of every scope would.  The per-vertex masks are
-built once per instance and reused for every k.
+fixers ``(uncolored - w) & ~blocked[x]``, for the x in evc.  These are
+the only pairs whose counts or fixers the assignment changes, so the
+waiting set is always exactly the set of vertices left as a pair's one
+fixer, and a pair with no fixer shows at the assignment that makes it.
+This prunes and forces exactly what assigning each child and forced
+vertex and testing every color of every scope would.  The per-vertex
+masks are built once per instance and reused for every k.
 
 The depth-first search keeps an explicit stack: per depth the position
 of its vertex in the order, that vertex's legal colors not tried yet,
 the largest color used so far, its singles, and the height of the
 trail before its assignment.  The trail lists the colored vertices in
 assignment order, children and forced vertices alike, each with the
-``blocked[c]`` and ``used_in[c]`` to restore on undo; a failed child,
-or a depth with no child left, unwinds it to the depth's height.  A
-node is one child tried or one forced vertex colored, counted before
-its test: a pruned child counts but is never assigned, so it costs no
-undo, and a forced assignment that fails its chain counts too.  The
-node cap and the clock probes (node 1 and every 4,096 nodes) are
-checked at every node, so a give-up stops at the first node past the
-cap, inside a chain or not.  Input size is not limited by the
+``blocked[c]``, ``used_in[c]`` and evc to restore on undo; a failed
+child, or a depth with no child left, unwinds it to the depth's
+height.  A node is one child tried or one forced vertex colored,
+counted before its test: a pruned child counts but is never assigned,
+so it costs no undo, and a forced assignment that fails its chain
+counts too.  The node cap and the clock probes (node 1 and every 4,096
+nodes) are checked at every node, so a give-up stops at the first node
+past the cap, inside a chain or not.  Input size is not limited by the
 interpreter's recursion depth.
 
 Solves and decisions are split into the components of the conflict
@@ -133,6 +142,9 @@ get: the component's order is the instance's order restricted to it
 lie inside it, and the vertices outside it stay out of ``uncolored``
 and never enter a blocked or used mask, so they take no part in any
 test.  The node counts are those of a separate search per component.
+parts() finds the components by a bitset search over ``nbr`` and the
+members of each scope, each scope read once; the conflict lists
+themselves are built only when a give-up colors greedily.
 
 The search runs on the implied graph.  Under ALL_ODD each color class
 inside a scope is an independent set of odd size, so in a scope whose
@@ -154,7 +166,9 @@ searches read the input adjacency, ``given``, itself.
 
 Each component's lower bound, from lower_bound(), is the larger of two
 greedy cliques, one grown in the input graph and one in the implied
-graph; every solution is a proper coloring of both.
+graph; every solution is a proper coloring of both.  A growth stops
+once its size plus its candidates cannot exceed the best so far, so
+the bound is that of every growth run to its end.
 
 The components are visited highest lower bound first, ties to the
 smallest vertex, and each one's ascending search starts at max(its
@@ -274,12 +288,14 @@ def _or(masks) -> int:
 def _greedy_clique(nbr, part) -> int:
     """Size of the largest clique grown greedily from each of the first
     16 vertices of part, always adding the candidate with the most
-    neighbors among the candidates (ties to the smaller id)."""
+    neighbors among the candidates (ties to the smaller id).  A growth
+    stops once its size plus its candidates cannot exceed the best so
+    far: it could only end at or below it."""
     best = 1
     for s in part[:16]:
         size = 1
         cand = nbr[s]
-        while cand:
+        while cand and size + cand.bit_count() > best:
             pick, most = -1, -1
             rest = cand
             while rest:
@@ -416,15 +432,26 @@ class _ParitySearch:
 
     def parts(self) -> list:
         """The components of the conflict relation, each a vertex list in
-        search order, in ascending order of their smallest vertex."""
-        conflict = self.conflict
+        search order, in ascending order of their smallest vertex.  Each
+        is grown by a bitset search over nbr and over the members of each
+        scope it touches, every scope read once; no conflict list is
+        built."""
+        nbr, smask, vsmask = self.nbr, self.smask, self.vsmask
         part_of = [0] * self.n
         left = (1 << self.n) - 1
+        # the scopes whose members have joined a component
+        reached = 0
         count = 0
         while left:
             comp = frontier = left & -left
             while frontier:
-                frontier = _or(conflict[v] for v in _members(frontier)) & ~comp
+                grown = scopes = 0
+                for v in _members(frontier):
+                    grown |= nbr[v]
+                    scopes |= vsmask[v]
+                scopes &= ~reached
+                reached |= scopes
+                frontier = (grown | _or(smask[sid] for sid in _members(scopes))) & ~comp
                 comp |= frontier
             for v in _members(comp):
                 part_of[v] = count
@@ -482,11 +509,15 @@ class _ParitySearch:
         mark = [0] * n
         ends = [0] * (n + 1)
         single = []
-        # the colored vertices in assignment order, each with blocked[c]
-        # and used_in[c] before its assignment
+        # under check_c, the colors with a positive even count in some
+        # scope (a superset of them is sound)
+        evc = 0
+        # the colored vertices in assignment order, each with blocked[c],
+        # used_in[c] and evc before its assignment
         trail = [0] * n
         saved_blocked = [0] * n
         saved_used = [0] * n
+        saved_evc = [0] * n
         # the forced vertices waiting to be colored, the smallest first
         pend = 0
         # the next node that reads the clock
@@ -514,9 +545,14 @@ class _ParitySearch:
                 vs = vsmask[w]
                 rest = uncolored ^ low
                 bad = False
-                for x in range(t + 1):
+                # only the colors even somewhere can have a pair here
+                todo = evc & ~(1 << e)
+                while todo:
+                    xb = todo & -todo
+                    todo ^= xb
+                    x = xb.bit_length() - 1
                     even = used_in[x] & vs & ~odd_in[x]
-                    if even and x != e and not blocked[x] >> w & 1:
+                    if even and not blocked[x] >> w & 1:
                         fixers = rest & ~blocked[x]
                         while even:
                             low = even & -even
@@ -586,6 +622,8 @@ class _ParitySearch:
                 # and those its chain forced
                 pend = 0
                 m = mark[d]
+                if check_c and h > m:
+                    evc = saved_evc[m]
                 while h > m:
                     h -= 1
                     w = trail[h]
@@ -603,6 +641,13 @@ class _ParitySearch:
             saved_used[h] = used_in[e]
             used_in[e] |= vs
             odd_in[e] ^= vs
+            if check_c:
+                # only e's counts changed; odd_in[e] lies in used_in[e]
+                saved_evc[h] = evc
+                if used_in[e] != odd_in[e]:
+                    evc |= 1 << e
+                else:
+                    evc &= ~(1 << e)
             h += 1
             if pend:
                 continue
@@ -620,31 +665,33 @@ class _ParitySearch:
             # enter the depth: u's legal colors, and under ALL_ODD the
             # singles of u's scopes (see the module docstring)
             u = part[p]
+            free = 0
+            for e in range(min(t + 2, k)):
+                if not blocked[e] >> u & 1:  # rule (a)
+                    free |= 1 << e
+            left[d] = free
             if check_c:
                 vs = vsmask[u]
                 rest = uncolored ^ (1 << u)
                 del single[ends[d]:]
-            else:
-                vs = 0
-            free = 0
-            for e in range(min(t + 2, k)):
-                if blocked[e] >> u & 1:  # rule (a)
-                    continue
-                free |= 1 << e
-                # each pair of e keeps a fixer besides u (the fixpoint
-                # invariant), and one with just one is a single: its
-                # fixer must take e unless u does
-                even = used_in[e] & vs & ~odd_in[e]
-                if even:
-                    fixers = rest & ~blocked[e]
-                    while even:
-                        low = even & -even
-                        even ^= low
-                        f = smask[low.bit_length() - 1] & fixers
-                        if not f & (f - 1):
-                            single.append(e)
-                            single.append(f)
-            left[d] = free
+                # each pair of a legal e keeps a fixer besides u (the
+                # fixpoint invariant), and one with just one is a single:
+                # its fixer must take e unless u does
+                todo = free & evc
+                while todo:
+                    eb = todo & -todo
+                    todo ^= eb
+                    e = eb.bit_length() - 1
+                    even = used_in[e] & vs & ~odd_in[e]
+                    if even:
+                        fixers = rest & ~blocked[e]
+                        while even:
+                            low = even & -even
+                            even ^= low
+                            f = smask[low.bit_length() - 1] & fixers
+                            if not f & (f - 1):
+                                single.append(e)
+                                single.append(f)
             ends[d + 1] = len(single)
 
 

@@ -14,8 +14,9 @@ from strongodd.constructive import nordhaus_gaddum
 from strongodd.graphs import (
     PRODUCT_KINDS, Graph, make_complete, make_complete_multipartite, make_cycle, make_path,
     make_star, product, save_json, to_json_dict)
-from strongodd.planemaps import embed_cycle, map_to_json_dict, save_map
-from strongodd.randgen import random_graph
+from strongodd.planemaps import embed_cycle, from_neighbor_rotations, map_to_json_dict, save_map
+from strongodd.randgen import random_graph, random_planar_map
+from strongodd.solver import chi_exact
 
 
 def run(capsys, *argv):
@@ -265,6 +266,37 @@ def test_plane_commands(tmp_path, capsys):
                     "--coloring", str(cpath))
     assert code == 0
     assert len(json.loads(out)["colors"]) == 4
+
+
+def test_the_pipeline_reports_pieces_above_the_paper_bound(tmp_path, capsys):
+    # W_200 (rim 0..199, hub 200), rim colored i mod 2 and hub 2: each rim
+    # piece is C_100 plus digons; with no time its search gives up at once
+    # and greedy colors every face rainbow, 100 colors against the paper's
+    # 97.  The coloring is still strong odd, so the exit code stays 0 and
+    # stdout is the result alone
+    n = 200
+    save_map(from_neighbor_rotations(
+        [[(v - 1) % n, n, (v + 1) % n] for v in range(n)] + [list(range(n - 1, -1, -1))]),
+        tmp_path / "wheel.json")
+    (tmp_path / "col.json").write_text(json.dumps({"colors": [v % 2 for v in range(n)] + [2]}))
+    code = main(["plane", "pipeline", "--map", str(tmp_path / "wheel.json"),
+                 "--coloring", str(tmp_path / "col.json"), "--max-time", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["piece_color_counts"] == [100, 100, 1]
+    assert captured.err.splitlines() == [
+        f"warning: piece {i} has 100 colors, above the paper's bound of 97 per piece"
+        for i in (0, 1)]
+    # a small map stays inside the bound and says nothing
+    pm = random_planar_map(12, random.Random(1))
+    save_map(pm, tmp_path / "map.json")
+    (tmp_path / "phi.json").write_text(
+        json.dumps({"colors": list(chi_exact(pm.underlying).witness.colors)}))
+    code = main(["plane", "pipeline", "--map", str(tmp_path / "map.json"),
+                 "--coloring", str(tmp_path / "phi.json")])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["colors"]
+    assert captured.err == ""
 
 
 def _edges_without_id(data):

@@ -39,6 +39,7 @@ from strongodd.solver import (
     solve_parity_system,
 )
 from strongodd.randgen import random_graph, random_planar_map
+from test_oracle import _claim2_pieces as _oracle_claim2_pieces
 
 
 def test_decision_examples():
@@ -290,6 +291,40 @@ def test_implied_bound_is_below_the_facially_odd_value():
         assert bound <= k
         tight += bound == k
     assert tight >= 10
+
+
+def _plain_greedy_clique(nbr, part):
+    # the greedy clique of _greedy_clique, grown to the end from each of
+    # the first 16 vertices of part
+    best = 1
+    for s in part[:16]:
+        size, cand = 1, nbr[s]
+        while cand:
+            pick = max(_members(cand), key=lambda x: ((nbr[x] & cand).bit_count(), -x))
+            size += 1
+            cand &= nbr[pick]
+        best = max(best, size)
+    return best
+
+
+def test_the_lower_bound_stops_early_without_losing_a_clique():
+    # a growth that stops once it cannot beat the best so far gives the
+    # bound of every growth run to the end, on the input graph and on the
+    # implied graph: seeded G(n, p), grids and the gallery rows, and the
+    # Claim 2 pieces of both test modules
+    instances = [(n, adj, scopes) for n, adj, scopes, mode in _engine_instances() if mode == ALL_ODD]
+    instances += [(aug.n, aug.underlying.adj, [sorted(f) for f in aug.face_vertex_sets()])
+                  for aug in _oracle_claim2_pieces()]
+    implied = 0
+    for n, adj, scopes in instances:
+        search = _ParitySearch(n, adj, scopes, ALL_ODD)
+        implied += search.nbr is not search.given
+        for part in search.parts() + [search.order]:
+            want = _plain_greedy_clique(search.given, part)
+            if search.nbr is not search.given:
+                want = max(want, _plain_greedy_clique(search.nbr, part))
+            assert search.lower_bound(part) == want
+    assert implied >= 20
 
 
 def _implied_pairs(search):
@@ -779,6 +814,55 @@ def test_a_scope_joins_its_members_into_one_part():
     res = solve_parity_system(4, [[1], [0], [3], [2]], [[0, 2]])
     assert res.value == 2
     assert res.witness.colors[0] != res.witness.colors[2]
+
+
+def _conflict_components(search):
+    # the components of the conflict lists, by a plain depth-first search
+    seen, out = set(), []
+    for s in range(search.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, comp = [s], {s}
+        while stack:
+            for u in _members(search.conflict[stack.pop()]):
+                if u not in seen:
+                    seen.add(u)
+                    comp.add(u)
+                    stack.append(u)
+        out.append([v for v in search.order if v in comp])
+    return out
+
+
+def test_parts_are_the_components_of_the_conflict_lists():
+    for n, adj, scopes, mode in _engine_instances():
+        search = _ParitySearch(n, adj, scopes, mode)
+        assert search.parts() == _conflict_components(search)
+    # two edges joined by one scope, whose pair is also an implied edge
+    search = _ParitySearch(4, [[1], [0], [3], [2]], [[1, 2]], ALL_ODD)
+    assert search.parts() == [[0, 1, 2, 3]]
+    # three edges joined by a scope alone: an independent triple implies
+    # no edge
+    search = _ParitySearch(6, [[1], [0], [3], [2], [5], [4]], [[1, 3, 5]], ALL_ODD)
+    assert search.nbr is search.given
+    assert search.parts() == [[0, 1, 2, 3, 4, 5]]
+
+
+def test_a_solve_that_certifies_builds_no_conflict_lists(monkeypatch):
+    built = []
+    init = _ParitySearch.__init__
+
+    def keeping_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_ParitySearch, "__init__", keeping_init)
+    g = _union_3()
+    assert chi_so_exact(g, Budget(max_nodes=2_000)).optimal
+    assert "conflict" not in built[-1].__dict__
+    # a give-up colors greedily, on the conflict lists
+    assert not chi_so_exact(g, Budget(max_nodes=1)).optimal
+    assert "conflict" in built[-1].__dict__
 
 
 def test_decisions_on_a_union():
